@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 )
 
 // Version tags every cache key. Bump it whenever the simulation semantics
@@ -22,8 +21,7 @@ const Version = "vanguard-engine/v1"
 // are safe for concurrent use; writes are atomic (temp file + rename), so
 // concurrent processes can share one directory.
 type Cache struct {
-	dir          string
-	hits, misses atomic.Int64
+	dir string
 }
 
 // Open creates (if needed) and opens a cache directory.
@@ -60,10 +58,8 @@ func (c *Cache) path(key string) string {
 func (c *Cache) Get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
-		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits.Add(1)
 	return data, true
 }
 
@@ -92,12 +88,6 @@ func (c *Cache) Put(key string, data []byte) {
 		os.Remove(tmp.Name())
 	}
 }
-
-// Hits returns the lifetime lookup-hit count of this handle.
-func (c *Cache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the lifetime lookup-miss count of this handle.
-func (c *Cache) Misses() int64 { return c.misses.Load() }
 
 // Key derives a content key from the JSON encodings of parts, prefixed by
 // the engine Version. Parts must be pure data (JSON-encodable); a

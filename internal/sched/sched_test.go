@@ -149,3 +149,25 @@ func TestCMOVDependences(t *testing.T) {
 		t.Errorf("cmov dependences violated: %v", b.Instrs)
 	}
 }
+
+func TestBaseRedefinitionKeepsOrder(t *testing.T) {
+	// st [r1+0]; addi r1,r1,8; ld [r1-8] — the same word through a
+	// redefined base. The offsets differ, so memOrder calls the pair
+	// disjoint; the store's read of r1 (WAR into the addi) and the addi's
+	// write feeding the load (RAW) must still keep the load after the
+	// store, even though its consumer makes it the most urgent work.
+	b := &ir.Block{Instrs: []isa.Instr{
+		ir.St(isa.R(1), 0, isa.R(2)),
+		ir.Addi(isa.R(1), isa.R(1), 8),
+		ir.Ld(isa.R(3), isa.R(1), -8),
+		ir.Add(isa.R(4), isa.R(3), isa.R(3)),
+	}}
+	Block(b, DefaultModel(4))
+	pos := map[isa.Op]int{}
+	for k, ins := range b.Instrs {
+		pos[ins.Op] = k
+	}
+	if !(pos[isa.ST] < pos[isa.ADDI] && pos[isa.ADDI] < pos[isa.LD]) {
+		t.Errorf("load passed the store through a redefined base: %v", b.Instrs)
+	}
+}
