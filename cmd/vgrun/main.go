@@ -83,6 +83,11 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to a file on exit")
 	)
 	flag.Parse()
+	if *width < 1 {
+		fmt.Fprintf(os.Stderr, "vgrun: -width must be at least 1, got %d\n", *width)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		log.Fatal("usage: vgrun [flags] prog.s")
 	}

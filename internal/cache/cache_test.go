@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +178,47 @@ func TestMissBufferBackPressure(t *testing.T) {
 	}
 	if h.MissBufStall == 0 {
 		t.Error("miss-buffer stall cycles not accounted")
+	}
+}
+
+// TestMissBufferVictimTieBreak fills the miss buffer with entries that
+// all complete on the same cycle, so the full-buffer victim is decided by
+// the tie-break alone: it must be the lowest line address on every run,
+// whatever order the buffer's map iterates in.
+func TestMissBufferVictimTieBreak(t *testing.T) {
+	const base = uint64(1 << 24)
+	cfg := DefaultHierConfig()
+	lines := cfg.MissBufEntries
+	run := func() []int64 {
+		h := NewHierarchy(cfg)
+		// Consecutive lines (one per L1-D set), inserted highest first,
+		// all missing to memory at cycle 0: every entry completes at 140.
+		for i := lines - 1; i >= 0; i-- {
+			h.Data(0, base+uint64(i)*64)
+		}
+		h.Data(0, 1<<26) // one more miss evicts one of the tied entries
+		// Re-touch every line: a still-buffered line merges with its fill
+		// (ready at 140); the evicted one hits in the L1-D (ready at 1+4).
+		ready := make([]int64, lines)
+		for i := range ready {
+			ready[i] = h.Data(1, base+uint64(i)*64)
+		}
+		return ready
+	}
+	first := run()
+	for i, r := range first {
+		want := int64(140)
+		if i == 0 {
+			want = 5
+		}
+		if r != want {
+			t.Fatalf("line %d ready at %d, want %d (the victim must be the lowest line address)", i, r, want)
+		}
+	}
+	for k := 0; k < 20; k++ {
+		if again := run(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d picked a different victim: %v vs %v", k, again, first)
+		}
 	}
 }
 

@@ -124,13 +124,15 @@ func (h *Hierarchy) Data(now int64, addr uint64) int64 {
 	if h.L1D.Access(addr) {
 		return now + int64(h.cfg.L1D.Latency)
 	}
-	// Miss: allocate a miss-buffer entry, stalling if full.
+	// Miss: allocate a miss-buffer entry, stalling if full. The victim is
+	// the entry that completes first, ties broken by the lowest line
+	// address so the choice never depends on map iteration order.
 	start := now
 	if len(h.inflight) >= h.cfg.MissBufEntries {
 		earliest := int64(1<<62 - 1)
 		var victim uint64
 		for a, done := range h.inflight {
-			if done < earliest {
+			if done < earliest || done == earliest && a < victim {
 				earliest, victim = done, a
 			}
 		}

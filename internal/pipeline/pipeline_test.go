@@ -466,6 +466,29 @@ func TestCycleCapErrors(t *testing.T) {
 	}
 }
 
+// TestZeroWidthRejected pins the up-front check: a machine that can
+// never issue is refused at construction instead of spinning to its
+// cycle cap.
+func TestZeroWidthRejected(t *testing.T) {
+	im := ir.MustLinearize(straightLine(4))
+	for name, build := range map[string]func(Config){
+		"New":          func(cfg Config) { New(im, mem.New(), cfg) },
+		"NewLaneGroup": func(cfg Config) { NewLaneGroup(im, []*mem.Memory{mem.New()}, cfg) },
+	} {
+		for _, w := range []int{0, -1} {
+			func() {
+				defer func() {
+					r := recover()
+					if msg, _ := r.(string); !strings.Contains(msg, "Width must be at least 1") {
+						t.Errorf("%s at width %d: panic %v, want a Width message", name, w, r)
+					}
+				}()
+				build(DefaultConfig(w))
+			}()
+		}
+	}
+}
+
 func TestWidthScaling(t *testing.T) {
 	// Wider machines must not be slower on parallel code.
 	p := straightLine(600)

@@ -13,6 +13,8 @@
 package sched
 
 import (
+	"fmt"
+
 	"vanguard/internal/ir"
 	"vanguard/internal/isa"
 )
@@ -31,8 +33,18 @@ func DefaultModel(width int) Model {
 	return Model{Width: width, IntUnits: 2, MemUnits: 2, FPUnits: 4, LoadLatency: 4}
 }
 
-// Program schedules every block of every function in place.
+// check panics on a model no schedule can satisfy: at Width 0 nothing
+// ever issues, so a region of two or more instructions never finishes.
+func (m Model) check() {
+	if m.Width < 1 {
+		panic(fmt.Sprintf("sched: Model.Width must be at least 1, got %d", m.Width))
+	}
+}
+
+// Program schedules every block of every function in place. It panics
+// on a Model whose Width is below 1.
 func Program(p *ir.Program, m Model) {
+	m.check()
 	var s scheduler
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -84,8 +96,10 @@ func memOrder(i, j isa.Instr) bool {
 }
 
 // Block reorders one block in place. Terminators and any control
-// instruction (e.g. a mid-block CALL) act as scheduling barriers.
+// instruction (e.g. a mid-block CALL) act as scheduling barriers. It
+// panics on a Model whose Width is below 1.
 func Block(b *ir.Block, m Model) {
+	m.check()
 	var s scheduler
 	s.block(b, m)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"vanguard/internal/interp"
@@ -24,6 +25,26 @@ func TestLoadsScheduledEarly(t *testing.T) {
 	}
 	if b.Instrs[len(b.Instrs)-1].Op != isa.ADD {
 		t.Errorf("dependent use must stay last:\n%v", b.Instrs)
+	}
+}
+
+// TestZeroWidthModelPanics pins the up-front check: at Width 0 no
+// instruction ever issues, so Program and Block refuse the model instead
+// of looping forever on a region of two or more instructions.
+func TestZeroWidthModelPanics(t *testing.T) {
+	for name, schedule := range map[string]func(){
+		"Program": func() { Program(&ir.Program{}, DefaultModel(0)) },
+		"Block":   func() { Block(&ir.Block{}, DefaultModel(0)) },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "Width must be at least 1") {
+					t.Errorf("%s: panic %v, want a Width message", name, r)
+				}
+			}()
+			schedule()
+		}()
 	}
 }
 
