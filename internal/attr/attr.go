@@ -138,9 +138,15 @@ func NewRecorder(numPCs, maxBranchID, width int) *Recorder {
 // per-branch causes, the producing load's PC for LoadWait, and ignored
 // otherwise.
 func (r *Recorder) ChargeCycle(issued int, cause Cause, idx int) {
-	r.cycles++
-	r.total[Base] += int64(issued)
-	empty := int64(r.width - issued)
+	r.ChargeCycles(1, issued, cause, idx)
+}
+
+// ChargeCycles charges n identical cycles at once; it is exactly n
+// ChargeCycle(issued, cause, idx) calls.
+func (r *Recorder) ChargeCycles(n int64, issued int, cause Cause, idx int) {
+	r.cycles += n
+	r.total[Base] += n * int64(issued)
+	empty := n * int64(r.width-issued)
 	if empty <= 0 {
 		return
 	}

@@ -107,3 +107,23 @@ func TestTopTables(t *testing.T) {
 		t.Fatalf("stack = %v", got)
 	}
 }
+
+// TestChargeCyclesEqualsRepeatedCharge pins the bulk form: n cycles
+// charged in one ChargeCycles call leave the recorder exactly as n
+// ChargeCycle calls do, for every cause and issue count.
+func TestChargeCyclesEqualsRepeatedCharge(t *testing.T) {
+	for _, c := range Causes() {
+		for issued := 0; issued <= 4; issued++ {
+			bulk, step := NewRecorder(16, 3, 4), NewRecorder(16, 3, 4)
+			for _, n := range []int64{1, 7, 130} {
+				bulk.ChargeCycles(n, issued, c, 2)
+				for i := int64(0); i < n; i++ {
+					step.ChargeCycle(issued, c, 2)
+				}
+			}
+			if !reflect.DeepEqual(bulk, step) {
+				t.Fatalf("%s issued=%d: bulk %+v != stepped %+v", c.Key(), issued, bulk, step)
+			}
+		}
+	}
+}

@@ -18,6 +18,14 @@ import (
 // an epilogue dumping live registers to memory. Every memory access stays
 // in a safe region, so both simulators must complete fault-free.
 func randomLoopProgram(r *rand.Rand) (*ir.Program, *mem.Memory) {
+	return randomStrideLoopProgram(r, 8)
+}
+
+// randomStrideLoopProgram is randomLoopProgram with the per-iteration
+// hammock condition words laid out stride bytes apart. A stride beyond
+// the caches' reach makes the loop memory-bound: most iterations wait a
+// whole memory miss on the branch condition.
+func randomStrideLoopProgram(r *rand.Rand, stride int64) (*ir.Program, *mem.Memory) {
 	const dataBase = int64(1 << 20)
 	dsts := []isa.Reg{isa.R(8), isa.R(9), isa.R(10), isa.R(11), isa.R(12)}
 	srcs := []isa.Reg{isa.R(2), isa.R(3), isa.R(8), isa.R(9), isa.R(10), isa.R(11), isa.R(12)}
@@ -63,7 +71,7 @@ func randomLoopProgram(r *rand.Rand) (*ir.Program, *mem.Memory) {
 	)
 	// Hammock condition from the iteration-indexed script.
 	f.Emit(head,
-		ir.Muli(isa.R(7), isa.R(5), 8),
+		ir.Muli(isa.R(7), isa.R(5), stride),
 		ir.Add(isa.R(7), isa.R(7), isa.R(1)),
 		ir.Ld(isa.R(7), isa.R(7), 2048),
 		ir.BrID(isa.R(7), armC, 1),
@@ -91,7 +99,7 @@ func randomLoopProgram(r *rand.Rand) (*ir.Program, *mem.Memory) {
 		m.MustStore(uint64(dataBase+i), int64(r.Intn(1000)))
 	}
 	for i := int64(0); i < iters; i++ {
-		m.MustStore(uint64(dataBase+2048+i*8), int64(r.Intn(2)))
+		m.MustStore(uint64(dataBase+2048+i*stride), int64(r.Intn(2)))
 	}
 	return &ir.Program{Funcs: []*ir.Func{f, helper}}, m
 }
