@@ -153,9 +153,11 @@ func TestUndoLogMatchesFullSnapshots(t *testing.T) {
 	}
 }
 
-// BenchmarkStepCycle measures the raw per-cycle cost of the simulator core
+// BenchmarkStepCycle measures the raw per-step cost of the simulator core
 // (no report/JSON overhead), with allocation accounting — the number that
-// the allocation-free rewrite optimizes.
+// the allocation-free rewrite optimizes. One step is one stepCycle call,
+// which covers a whole idle span when the issue stage fast-forwards, so
+// this is host time per step rather than per simulated cycle.
 func BenchmarkStepCycle(b *testing.B) {
 	prog, m := allocProbeProgram(2_000_000_000)
 	mach := New(ir.MustLinearize(prog), m, DefaultConfig(4))
