@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate lane-gate kernel-gate sweep-gate bpred-gate
+.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results staticcheck
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -27,8 +27,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The whole suite under the race detector and uncached, so every
+# invariant test (attribution and predictor-probe conservation, lane and
+# dispatch differentials, sweep-recorder spans, pipeview lifecycles,
+# observer-off byte-identity) runs on every check.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # Pinned static analysis. Offline-gated: `go run pkg@version` must
 # download the tool, so when the module proxy is unreachable (air-gapped
@@ -49,64 +53,8 @@ staticcheck:
 		echo "staticcheck: module proxy unreachable under GOFLAGS= and GOFLAGS=-mod=mod, skipping (offline)"; \
 	fi
 
-# Lane-core gate: the lanes=1-vs-W differentials — pipeline.LaneGroup
-# against scalar Machines, and the harness lane scheduler against the
-# scalar suite — plus the attribution and pipeview observer gates, all
-# under the race detector and uncached, so lane batching can never
-# silently share mutable state across lanes or change a single byte of
-# results or telemetry.
-lane-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestLaneGroup|TestLanesDifferential|TestRunBatched|TestAttr|TestRunAttrDiff|TestPipeview|TestLifecycle|TestKonata|TestWaterfall' \
-		./internal/pipeline/ ./internal/harness/ ./internal/engine/ \
-		./internal/pipeview/ ./internal/textplot/ ./internal/trace/
-
-# Kernel-dispatch gate: the switch-vs-kernels differentials — the
-# per-opcode exec property fuzz, the pipeline stats/memory A/B, the
-# functional simulator A/B (including adversarial PREDICT oracles and
-# instruction-cap straddling), and the end-to-end harness byte-identity
-# at lanes 1 and auto — under the race detector and uncached, so the
-# predecoded kernel table can never change a result byte or be shared
-# unsafely across lanes.
-kernel-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestKernel|TestDispatch|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus' \
-		./internal/exec/ ./internal/pipeline/ ./internal/interp/ ./internal/harness/
-
-# Sweep flight-recorder gate: an uncached end-to-end benchmark run with
-# the recorder attached must satisfy the span conservation invariant
-# (exactly one terminal per unit, phases nested, counters reconciled),
-# the recorder-off path must stay byte-identical and allocation-free,
-# and the monitor surface (/metrics exposition, /debug/sweep, the
-# concurrency hammer) must hold up — all under the race detector.
-sweep-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestSweep|TestRecorder|TestMonitor|TestMetricsPromFormat|TestPromValidator|TestReportSchemaV5|TestWriteSweepArtifacts' \
-		./internal/engine/ ./internal/harness/ ./internal/trace/
-
-# Predictor-observatory gate: the probe's conservation invariant (every
-# resolve lands in exactly one provider/class bucket) on unit traces and
-# on a real benchmark end to end, probe-off byte-identity and zero
-# steady-state allocations, the v6 telemetry round-trip, the reflection
-# audit of the run-cache key against harness.Options/pipeline.Config,
-# and the monitor's /metrics + /debug/bpred surface — all under the race
-# detector and uncached.
-bpred-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestProbe|TestHist|TestCtr2|TestBpredProbe|TestReportSchemaV6|TestSchemaConstants|TestRunBpredDiff|TestWriteBpredCSV|TestRunCacheKey|TestSimKeySeparates|TestMonitorBpred' \
-		./internal/bpred/ ./internal/pipeline/ ./internal/trace/ \
-		./internal/harness/ ./internal/engine/
-
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck lane-gate kernel-gate sweep-gate bpred-gate race
-
-# Attribution-conservation gate: every attributed fast-suite simulation
-# must charge exactly cycles x width issue slots (pipeline invariant
-# sweeps), match the aggregate counters per static branch, and leave
-# attribution-off runs byte-identical; the differential path must hold
-# the same books on both binaries of a real benchmark.
-attr-gate:
-	$(GO) test -run 'TestAttr|TestRunAttrDiff' -count 1 ./internal/pipeline/ ./internal/harness/
+check: fmt vet build staticcheck race
 
 # Simulator-throughput benchmarks (simulated MIPS + allocation counts),
 # benchstat-friendly: five samples per benchmark, compare against the
@@ -136,14 +84,6 @@ bench-json:
 	$(GO) run ./cmd/benchdiff -json results/bench_trajectory.json \
 		-label "$$(git rev-parse --short HEAD)" results/.bench_new.txt
 	@rm -f results/.bench_new.txt
-
-# Pipeview gate: the lifetime-capture invariants (every fetched
-# instruction reaches exactly one terminal, stage cycles are monotonic),
-# the off-path byte-identity contract, and the golden Konata/waterfall
-# renderings, uncached.
-pipeview-gate:
-	$(GO) test -run 'TestPipeview|TestLifecycle|TestKonata|TestWaterfall' -count 1 \
-		./internal/pipeline/ ./internal/pipeview/ ./internal/textplot/ ./internal/trace/
 
 # Regenerate the committed telemetry baselines under results/ through the
 # experiment engine, then fail if they drifted from the committed files.

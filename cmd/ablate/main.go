@@ -7,83 +7,42 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
-	"vanguard/internal/engine"
-	"vanguard/internal/exec"
+	"vanguard/internal/cli"
 	"vanguard/internal/harness"
-	"vanguard/internal/pipeline"
-	"vanguard/internal/trace"
 	"vanguard/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ablate: ")
+func main() { cli.Main("ablate", run) }
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	c := cli.New("ablate", stdout, stderr, cli.EngineFlags|cli.LaneFlags|cli.DispatchFlags|cli.MonitorFlags|cli.RecorderFlags)
+	c.Bpred("probe the predictor on every simulation and print the ablation benchmarks' table-level studies",
+		"probe the predictor on every simulation and write the ablation benchmarks' per-branch classifications as CSV to this file")
 	var (
-		sweep    = flag.String("sweep", "all", "gap | hoist | dbb | slice | all")
-		fast     = flag.Bool("fast", false, "reduced inputs")
-		attrF    = flag.Bool("attr", false, "attribute every issue slot to a cause on every simulation (feeds the monitor's /metrics per-cause counters)")
-		bpredRep = flag.Bool("bpred-report", false, "probe the predictor on every simulation and print the ablation benchmarks' table-level studies")
-		bpredCSV = flag.String("bpred-csv", "", "probe the predictor on every simulation and write the ablation benchmarks' per-branch classifications as CSV to this file")
-		jsonF    = flag.String("json", "", "also write the sweeps as a structured telemetry report to this file")
-		dispatch = flag.String("dispatch", "kernels", "instruction dispatch engine: kernels (per-PC compiled at load) or switch (reference exec.Step); results are byte-identical")
-		jobs     = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		lanes    = flag.Int("lanes", 0, fmt.Sprintf("max same-image simulations stepped as one lane group (0 = auto, %d; 1 = scalar); results are byte-identical at any value", pipeline.DefaultLanes))
-		cacheDir = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
-		noCache  = flag.Bool("no-cache", false, "disable the on-disk run cache")
-		progress = flag.Bool("progress", false, "render a live engine status line on stderr")
-		listen   = flag.String("listen", "", "serve live progress over HTTP on this address (e.g. :0): /progress JSON, /metrics Prometheus text, /debug/sweep dashboard, /healthz, /debug/pprof")
-		sweepOut = flag.String("sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a "+trace.SweepSchema+" JSON artifact to this file; -json reports gain a sweep section (schema "+trace.SchemaV5+")")
-		sweepChr = flag.String("sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker) to this file")
+		sweep = c.Flags.String("sweep", "all", "gap | hoist | dbb | slice | all")
+		fast  = c.Flags.Bool("fast", false, "reduced inputs")
+		attrF = c.Flags.Bool("attr", false, "attribute every issue slot to a cause on every simulation (feeds the monitor's /metrics per-cause counters)")
+		jsonF = c.Flags.String("json", "", "also write the sweeps as a structured telemetry report to this file")
 	)
-	flag.Parse()
+	if err := c.Parse(args); err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, c.Close()) }()
+	if err := c.Start(); err != nil {
+		return err
+	}
 
 	o := harness.DefaultOptions()
 	if *fast {
 		o = harness.FastOptions()
 		o.RefInputs = o.RefInputs[:1]
 	}
-	disp, err := exec.ParseDispatch(*dispatch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	es := &harness.EngineStats{}
-	o.Jobs = *jobs
-	o.Lanes = *lanes
-	o.EngineStats = es
+	c.Options(&o)
 	o.Attr = *attrF
-	o.Probe = *bpredRep || *bpredCSV != ""
-	o.Dispatch = disp
-	if !*noCache && *cacheDir != "" {
-		c, err := engine.Open(*cacheDir)
-		if err != nil {
-			log.Printf("warning: run cache disabled: %v", err)
-		} else {
-			o.Cache = c
-		}
-	}
-	if *progress || *listen != "" {
-		o.Monitor = engine.NewMonitor()
-		if *listen != "" {
-			addr, closeSrv, err := o.Monitor.Serve(*listen)
-			if err != nil {
-				log.Fatalf("listen: %v", err)
-			}
-			defer closeSrv()
-			log.Printf("monitor listening on http://%s (/progress, /metrics, /debug/sweep, /debug/bpred, /healthz, /debug/pprof)", addr)
-		}
-		if *progress {
-			stop := o.Monitor.StartStatus(os.Stderr, 0)
-			defer stop()
-		}
-	}
-	if *sweepOut != "" || *sweepChr != "" {
-		o.Recorder = engine.NewSweepRecorder()
-	}
 	names := harness.AblationBenchmarks()
 
 	titles := map[string]string{
@@ -95,7 +54,7 @@ func main() {
 	sweeps := map[string][]harness.AblationPoint{}
 	var order []string
 
-	run := func(kind string) {
+	runSweep := func(kind string) error {
 		var pts []harness.AblationPoint
 		var err error
 		switch kind {
@@ -108,21 +67,24 @@ func main() {
 		case "slice":
 			pts, err = harness.SlicePushdownAblation(names, o)
 		default:
-			log.Fatalf("unknown sweep %q", kind)
+			return fmt.Errorf("unknown sweep %q", kind)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		harness.WriteAblation(os.Stdout, titles[kind], pts)
+		harness.WriteAblation(stdout, titles[kind], pts)
 		sweeps[titles[kind]] = pts
 		order = append(order, titles[kind])
+		return nil
 	}
+	kinds := []string{*sweep}
 	if *sweep == "all" {
-		for _, k := range []string{"gap", "hoist", "dbb", "slice"} {
-			run(k)
+		kinds = []string{"gap", "hoist", "dbb", "slice"}
+	}
+	for _, k := range kinds {
+		if err := runSweep(k); err != nil {
+			return err
 		}
-	} else {
-		run(*sweep)
 	}
 	if o.Probe {
 		// The sweeps above reduce to speedup points; the observatory needs
@@ -130,67 +92,25 @@ func main() {
 		// engine job set — the run cache makes repeats cheap).
 		var cs []workload.Config
 		for _, n := range names {
-			c, ok := workload.ByName(n)
+			cfg, ok := workload.ByName(n)
 			if !ok {
-				log.Fatalf("unknown ablation benchmark %q", n)
+				return fmt.Errorf("unknown ablation benchmark %q", n)
 			}
-			cs = append(cs, c)
+			cs = append(cs, cfg)
 		}
 		rs, err := harness.RunBenchmarks(cs, o)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if *bpredRep {
-			fmt.Println("\nPredictor observatory (ablation benchmarks, first REF input):")
-			for _, r := range rs {
-				wr := r.Inputs[0].Runs[0]
-				for _, cand := range r.Inputs[0].Runs {
-					if cand.Width == 4 {
-						wr = cand
-					}
-				}
-				if wr.Base.Bpred == nil || wr.Exp.Bpred == nil {
-					continue
-				}
-				fmt.Println()
-				harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/base w%d", r.Config.Name, wr.Width), wr.Base.Bpred, 5)
-				harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/exp w%d", r.Config.Name, wr.Width), wr.Exp.Bpred, 5)
-			}
-		}
-		if *bpredCSV != "" {
-			f, err := os.Create(*bpredCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := harness.WriteBpredCSV(f, rs); err != nil {
-				f.Close()
-				log.Fatalf("%s: %v", *bpredCSV, err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *bpredCSV)
+		if err := c.WriteBpred("\nPredictor observatory (ablation benchmarks, first REF input):", 5, rs); err != nil {
+			return err
 		}
 	}
 	if *jsonF != "" {
-		rep := harness.AblationJSON("ablate", sweeps, order)
-		rep.Engine = es.Report()
-		if o.Recorder != nil {
-			rep.Sweep = o.Recorder.Report()
+		if err := c.WriteReport(*jsonF, harness.AblationJSON("ablate", sweeps, order)); err != nil {
+			return err
 		}
-		if err := rep.WriteFile(*jsonF); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *jsonF)
 	}
-	if _, err := harness.WriteSweepArtifacts(o.Recorder, *sweepOut, *sweepChr, o.Cache); err != nil {
-		log.Fatal(err)
-	}
-	if *sweepOut != "" {
-		log.Printf("wrote %s", *sweepOut)
-	}
-	if *sweepChr != "" {
-		log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *sweepChr)
-	}
-	log.Printf("engine: %s", es.Summary())
+	_, err = c.Finish()
+	return err
 }

@@ -13,12 +13,12 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
-	"vanguard/internal/engine"
+	"vanguard/internal/cli"
 	"vanguard/internal/harness"
 	"vanguard/internal/sample"
 	"vanguard/internal/textplot"
@@ -29,26 +29,27 @@ import (
 // dumpSamples renders the samples sections of a telemetry report: CSV on
 // stdout by default (one row per window, see harness.WriteSamplesCSV),
 // or per-run sparklines with -plot.
-func dumpSamples(path string, plot bool) {
+func dumpSamples(c *cli.Command, path string, plot bool) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	rep, err := trace.ReadReport(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	noSamples := fmt.Errorf("%s has no samples sections (re-run the producing tool with -sample-window)", path)
 	if !plot {
-		rows, err := harness.WriteSamplesCSV(os.Stdout, rep)
+		rows, err := harness.WriteSamplesCSV(c.Stdout, rep)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if rows == 0 {
-			log.Fatalf("%s has no samples sections (re-run the producing tool with -sample-window)", path)
+			return noSamples
 		}
-		log.Printf("%d window rows", rows)
-		return
+		c.Log.Printf("%d window rows", rows)
+		return nil
 	}
 	plotted := 0
 	for _, b := range rep.Benchmarks {
@@ -64,82 +65,65 @@ func dumpSamples(path string, plot bool) {
 			if run.Input != "" {
 				name += "/" + run.Input
 			}
-			fmt.Printf("%s w%d (%d windows of %d cycles):\n", name, run.Width, len(sr.Windows), sr.WindowCycles)
-			textplot.Spark(os.Stdout, "  ipc        ", sr.Values(func(w *sample.Window) float64 { return w.IPC() }), 60)
-			textplot.Spark(os.Stdout, "  mispredicts", sr.Values(func(w *sample.Window) float64 { return float64(w.Mispredicts()) }), 60)
-			textplot.Spark(os.Stdout, "  l1d misses ", sr.Values(func(w *sample.Window) float64 { return float64(w.L1DMisses) }), 60)
+			fmt.Fprintf(c.Stdout, "%s w%d (%d windows of %d cycles):\n", name, run.Width, len(sr.Windows), sr.WindowCycles)
+			textplot.Spark(c.Stdout, "  ipc        ", sr.Values(func(w *sample.Window) float64 { return w.IPC() }), 60)
+			textplot.Spark(c.Stdout, "  mispredicts", sr.Values(func(w *sample.Window) float64 { return float64(w.Mispredicts()) }), 60)
+			textplot.Spark(c.Stdout, "  l1d misses ", sr.Values(func(w *sample.Window) float64 { return float64(w.L1DMisses) }), 60)
 			plotted++
 		}
 	}
 	if plotted == 0 {
-		log.Fatalf("%s has no samples sections (re-run the producing tool with -sample-window)", path)
+		return noSamples
 	}
-}
-
-// writeAttrCSV exports a differential attribution's stacked-CPI and
-// per-branch delta tables as PREFIX.cpistack.csv and PREFIX.branches.csv.
-func writeAttrCSV(prefix string, d *harness.AttrDiff) {
-	writeCSVFile(prefix+".cpistack.csv", func(f *os.File) (int, error) { return harness.WriteCPIStackCSV(f, d) })
-	writeCSVFile(prefix+".branches.csv", func(f *os.File) (int, error) { return harness.WriteBranchDeltaCSV(f, d) })
+	return nil
 }
 
 // writeBpredCSV exports a predictor differential's classification ×
 // conversion join and both binaries' per-branch studies.
-func writeBpredCSV(prefix string, d *harness.BpredDiff) {
-	writeCSVFile(prefix+".bpredjoin.csv", func(f *os.File) (int, error) { return harness.WriteBpredJoinCSV(f, d) })
-	writeCSVFile(prefix+".bpredstudy.csv", func(f *os.File) (int, error) {
-		n, err := harness.WriteBpredStudyCSV(f, d.Benchmark, d.Input, d.Width, "base", d.Base)
-		if err != nil {
-			return n, err
+func writeBpredCSV(c *cli.Command, prefix string, d *harness.BpredDiff) error {
+	if err := c.WriteCSV(prefix+".bpredjoin.csv", func(w io.Writer) (int, error) { return harness.WriteBpredJoinCSV(w, d) }); err != nil {
+		return err
+	}
+	return c.WriteFile(prefix+".bpredstudy.csv", func(w io.Writer) error {
+		if _, err := harness.WriteBpredStudyCSV(w, d.Benchmark, d.Input, d.Width, "base", d.Base); err != nil {
+			return err
 		}
-		m, err := harness.WriteBpredStudyCSV(f, d.Benchmark, d.Input, d.Width, "exp", d.Exp)
-		return n + m, err
+		_, err := harness.WriteBpredStudyCSV(w, d.Benchmark, d.Input, d.Width, "exp", d.Exp)
+		return err
 	})
 }
 
-// writeCSVFile creates path, runs fn on it, and logs the row count.
-func writeCSVFile(path string, fn func(*os.File) (int, error)) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows, err := fn(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d rows)", path, rows)
-}
+func main() { cli.Main("figures", run) }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("figures: ")
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	c := cli.New("figures", stdout, stderr, cli.EngineFlags|cli.MonitorFlags|cli.RecorderFlags)
+	c.Bpred("with -cpistack: also probe both binaries' predictors and render the classification x conversion join (which converted branches were unpredictable vs merely mispredicted)",
+		"with -cpistack: write the classification x conversion join as PREFIX.bpredjoin.csv and the per-branch studies as PREFIX.bpredstudy.csv (implies -bpred-report)")
 	var (
-		fig         = flag.Int("fig", 0, "figure to regenerate (2 or 3)")
-		sensitivity = flag.Bool("sensitivity", false, "run the Section 5.3 predictor ladder")
-		samples     = flag.String("samples", "", "dump the samples sections of a telemetry report (vgrun/spec -json -sample-window output) as CSV on stdout; with -plot, render sparklines instead")
-		cpistack    = flag.String("cpistack", "", "render the baseline-vs-vanguard CPI stack and per-branch delta attribution for this benchmark")
-		width       = flag.Int("width", 4, "issue width for -cpistack")
-		attrCSV     = flag.String("attr-csv", "", "with -cpistack, also write PREFIX.cpistack.csv and PREFIX.branches.csv using this path prefix")
-		bpredRep    = flag.Bool("bpred-report", false, "with -cpistack: also probe both binaries' predictors and render the classification x conversion join (which converted branches were unpredictable vs merely mispredicted)")
-		bpredCSV    = flag.String("bpred-csv", "", "with -cpistack: write the classification x conversion join as PREFIX.bpredjoin.csv and the per-branch studies as PREFIX.bpredstudy.csv (implies -bpred-report)")
-		fast        = flag.Bool("fast", false, "reduced inputs (quick smoke run)")
-		plot        = flag.Bool("plot", false, "render ASCII charts instead of tables")
-		jobs        = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		cacheDir    = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
-		noCache     = flag.Bool("no-cache", false, "disable the on-disk run cache")
-		progress    = flag.Bool("progress", false, "render a live engine status line on stderr")
-		listen      = flag.String("listen", "", "serve live progress over HTTP on this address (e.g. :0): /progress JSON, /metrics Prometheus text, /debug/sweep dashboard, /healthz, /debug/pprof")
-		sweepOut    = flag.String("sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a "+trace.SweepSchema+" JSON artifact to this file")
-		sweepChr    = flag.String("sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker) to this file")
+		fig         = c.Flags.Int("fig", 0, "figure to regenerate (2 or 3)")
+		sensitivity = c.Flags.Bool("sensitivity", false, "run the Section 5.3 predictor ladder")
+		samples     = c.Flags.String("samples", "", "dump the samples sections of a telemetry report (vgrun/spec -json -sample-window output) as CSV on stdout; with -plot, render sparklines instead")
+		cpistack    = c.Flags.String("cpistack", "", "render the baseline-vs-vanguard CPI stack and per-branch delta attribution for this benchmark")
+		width       = c.Flags.Int("width", 4, "issue width for -cpistack")
+		attrCSV     = c.Flags.String("attr-csv", "", "with -cpistack, also write PREFIX.cpistack.csv and PREFIX.branches.csv using this path prefix")
+		fast        = c.Flags.Bool("fast", false, "reduced inputs (quick smoke run)")
+		plot        = c.Flags.Bool("plot", false, "render ASCII charts instead of tables")
 	)
-	flag.Parse()
-
+	if err := c.Parse(args); err != nil {
+		return err
+	}
+	if err := c.CheckWidth(*width); err != nil {
+		return err
+	}
 	if *samples != "" {
-		dumpSamples(*samples, *plot)
-		return
+		return dumpSamples(c, *samples, *plot)
+	}
+	if *fig != 2 && *fig != 3 && *cpistack == "" && !*sensitivity {
+		return c.Usagef("need -fig 2, -fig 3, -cpistack BENCH, -sensitivity or -samples REPORT")
+	}
+	defer func() { err = errors.Join(err, c.Close()) }()
+	if err := c.Start(); err != nil {
+		return err
 	}
 
 	in := workload.TrainInput()
@@ -150,35 +134,7 @@ func main() {
 		o.RefInputs = o.RefInputs[:1]
 		o.Widths = []int{4}
 	}
-	es := &harness.EngineStats{}
-	o.Jobs = *jobs
-	o.EngineStats = es
-	if !*noCache && *cacheDir != "" {
-		c, err := engine.Open(*cacheDir)
-		if err != nil {
-			log.Printf("warning: run cache disabled: %v", err)
-		} else {
-			o.Cache = c
-		}
-	}
-	if *progress || *listen != "" {
-		o.Monitor = engine.NewMonitor()
-		if *listen != "" {
-			addr, closeSrv, err := o.Monitor.Serve(*listen)
-			if err != nil {
-				log.Fatalf("listen: %v", err)
-			}
-			defer closeSrv()
-			log.Printf("monitor listening on http://%s (/progress, /metrics, /debug/sweep, /debug/bpred, /healthz, /debug/pprof)", addr)
-		}
-		if *progress {
-			stop := o.Monitor.StartStatus(os.Stderr, 0)
-			defer stop()
-		}
-	}
-	if *sweepOut != "" || *sweepChr != "" {
-		o.Recorder = engine.NewSweepRecorder()
-	}
+	c.Options(&o)
 
 	switch {
 	case *fig == 2 || *fig == 3:
@@ -188,64 +144,58 @@ func main() {
 		}
 		cur, err := harness.BiasPredictabilityCurveOpts(suite, in, o)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *plot {
-			textplot.Series(os.Stdout, title, [2]string{"bias", "predictability"},
+			textplot.Series(stdout, title, [2]string{"bias", "predictability"},
 				[2][]float64{cur.Bias, cur.Predictability}, 75, 18)
 		} else {
-			cur.Write(os.Stdout, title)
+			cur.Write(stdout, title)
 		}
 	case *cpistack != "":
-		c, ok := workload.ByName(*cpistack)
+		cfg, ok := workload.ByName(*cpistack)
 		if !ok {
-			log.Fatalf("unknown benchmark %q", *cpistack)
+			return fmt.Errorf("unknown benchmark %q", *cpistack)
 		}
-		if *bpredRep || *bpredCSV != "" {
+		if c.Probe() {
 			// The joined run: probe + attribution on the same simulations,
 			// so the CPI deltas and the predictability classes line up.
-			bd, err := harness.RunBpredDiff(c, o, *width)
+			bd, err := harness.RunBpredDiff(cfg, o, *width)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			harness.WriteAttrDiff(os.Stdout, bd.Attr, 10)
-			fmt.Println()
-			harness.WriteBpredReport(os.Stdout, bd, 10)
+			harness.WriteAttrDiff(stdout, bd.Attr, 10)
+			fmt.Fprintln(stdout)
+			harness.WriteBpredReport(stdout, bd, 10)
 			if *attrCSV != "" {
-				writeAttrCSV(*attrCSV, bd.Attr)
+				if err := c.WriteAttrCSV(*attrCSV, bd.Attr); err != nil {
+					return err
+				}
 			}
-			if *bpredCSV != "" {
-				writeBpredCSV(*bpredCSV, bd)
+			if c.BpredCSV != "" {
+				if err := writeBpredCSV(c, c.BpredCSV, bd); err != nil {
+					return err
+				}
 			}
 			break
 		}
-		d, err := harness.RunAttrDiff(c, o, *width)
+		d, err := harness.RunAttrDiff(cfg, o, *width)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		harness.WriteAttrDiff(os.Stdout, d, 10)
+		harness.WriteAttrDiff(stdout, d, 10)
 		if *attrCSV != "" {
-			writeAttrCSV(*attrCSV, d)
+			if err := c.WriteAttrCSV(*attrCSV, d); err != nil {
+				return err
+			}
 		}
 	case *sensitivity:
 		rows, err := harness.Sensitivity(harness.SensitivityBenchmarks(), o)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		harness.WriteSensitivity(os.Stdout, rows)
-	default:
-		flag.Usage()
-		fmt.Fprintln(os.Stderr, "need -fig 2, -fig 3, -cpistack BENCH, or -sensitivity")
-		os.Exit(2)
+		harness.WriteSensitivity(stdout, rows)
 	}
-	if _, err := harness.WriteSweepArtifacts(o.Recorder, *sweepOut, *sweepChr, o.Cache); err != nil {
-		log.Fatal(err)
-	}
-	if *sweepOut != "" {
-		log.Printf("wrote %s", *sweepOut)
-	}
-	if *sweepChr != "" {
-		log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *sweepChr)
-	}
-	log.Printf("engine: %s", es.Summary())
+	_, err = c.Finish()
+	return err
 }

@@ -10,78 +10,65 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
 	"vanguard/internal/bpred"
-	"vanguard/internal/engine"
+	"vanguard/internal/cli"
 	"vanguard/internal/harness"
 	"vanguard/internal/metrics"
 	"vanguard/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("vanguard: ")
+func main() { cli.Main("vanguard", run) }
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	c := cli.New("vanguard", stdout, stderr, cli.MonitorFlags|cli.RecorderFlags)
+	c.Bpred("probe the predictor on both binaries and print the table-level studies with per-branch predictability classes",
+		"probe the predictor and write every run's per-branch classification as CSV to this file (implies -bpred-report)")
 	var (
-		bench     = flag.String("bench", "h264ref", "benchmark name (any SPEC 2000/2006 stand-in)")
-		width     = flag.Int("width", 4, "issue width (2, 4 or 8)")
-		predictor = flag.String("predictor", "default", "direction predictor: static|bimodal|gshare|default|tage|isl-tage")
-		iters     = flag.Int64("iters", 0, "override REF iteration count")
-		dump      = flag.Bool("dump", false, "disassemble the baseline and experimental binaries")
-		attrF     = flag.Bool("attr", false, "attribute every issue slot to a cause and print the baseline-vs-vanguard cycle stack, per-branch deltas, and offender tables")
-		bpredRep  = flag.Bool("bpred-report", false, "probe the predictor on both binaries and print the table-level studies with per-branch predictability classes")
-		bpredCSV  = flag.String("bpred-csv", "", "probe the predictor and write every run's per-branch classification as CSV to this file (implies -bpred-report)")
-		list      = flag.Bool("list", false, "list available benchmarks and exit")
-		progress  = flag.Bool("progress", false, "render a live engine status line on stderr")
-		listen    = flag.String("listen", "", "serve live progress over HTTP on this address (e.g. :0): /progress JSON, /metrics Prometheus text, /debug/sweep dashboard, /healthz, /debug/pprof")
-		sweepOut  = flag.String("sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a JSON artifact to this file")
-		sweepChr  = flag.String("sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker) to this file")
+		bench     = c.Flags.String("bench", "h264ref", "benchmark name (any SPEC 2000/2006 stand-in)")
+		width     = c.Flags.Int("width", 4, "issue width (2, 4 or 8)")
+		predictor = c.Flags.String("predictor", "default", "direction predictor: static|bimodal|gshare|default|tage|isl-tage")
+		iters     = c.Flags.Int64("iters", 0, "override REF iteration count")
+		dump      = c.Flags.Bool("dump", false, "disassemble the baseline and experimental binaries")
+		attrF     = c.Flags.Bool("attr", false, "attribute every issue slot to a cause and print the baseline-vs-vanguard cycle stack, per-branch deltas, and offender tables")
+		list      = c.Flags.Bool("list", false, "list available benchmarks and exit")
 	)
-	flag.Parse()
+	if err := c.Parse(args); err != nil {
+		return err
+	}
+	if err := c.CheckWidth(*width); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, s := range workload.AllSuites() {
-			fmt.Printf("%s:", s)
-			for _, c := range workload.Suite(s) {
-				fmt.Printf(" %s", c.Name)
+			fmt.Fprintf(stdout, "%s:", s)
+			for _, cfg := range workload.Suite(s) {
+				fmt.Fprintf(stdout, " %s", cfg.Name)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		return
+		return nil
 	}
 
-	c, ok := workload.ByName(*bench)
+	cfg, ok := workload.ByName(*bench)
 	if !ok {
-		log.Fatalf("unknown benchmark %q (try -list)", *bench)
-	}
-	o := harness.DefaultOptions()
-	o.Widths = []int{*width}
-	o.Attr = *attrF
-	if *progress || *listen != "" {
-		o.Monitor = engine.NewMonitor()
-		if *listen != "" {
-			addr, closeSrv, err := o.Monitor.Serve(*listen)
-			if err != nil {
-				log.Fatalf("listen: %v", err)
-			}
-			defer closeSrv()
-			log.Printf("monitor listening on http://%s (/progress, /metrics, /debug/sweep, /debug/bpred, /healthz, /debug/pprof)", addr)
-		}
-		if *progress {
-			stop := o.Monitor.StartStatus(os.Stderr, 0)
-			defer stop()
-		}
-	}
-	o.Probe = *bpredRep || *bpredCSV != ""
-	if *sweepOut != "" || *sweepChr != "" {
-		o.Recorder = engine.NewSweepRecorder()
+		return fmt.Errorf("unknown benchmark %q (try -list)", *bench)
 	}
 	if bpred.ByName(*predictor) == nil {
-		log.Fatalf("unknown predictor %q", *predictor)
+		return fmt.Errorf("unknown predictor %q", *predictor)
 	}
+	defer func() { err = errors.Join(err, c.Close()) }()
+	if err := c.Start(); err != nil {
+		return err
+	}
+	o := harness.DefaultOptions()
+	c.Options(&o)
+	o.Widths = []int{*width}
+	o.Attr = *attrF
 	o.NewPredictor = func() bpred.DirPredictor { return bpred.ByName(*predictor) }
 	if *iters > 0 {
 		for i := range o.RefInputs {
@@ -90,34 +77,34 @@ func main() {
 	}
 
 	if *dump {
-		base, exp, _, rep, err := harness.BuildBinaries(c, o)
+		base, exp, _, rep, err := harness.BuildBinaries(cfg, o)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println("=== baseline ===")
-		fmt.Print(base)
-		fmt.Println("=== experimental (decomposed branches) ===")
-		fmt.Print(exp)
-		fmt.Printf("converted branches: %d, static growth: %.1f%%\n",
+		fmt.Fprintln(stdout, "=== baseline ===")
+		fmt.Fprint(stdout, base)
+		fmt.Fprintln(stdout, "=== experimental (decomposed branches) ===")
+		fmt.Fprint(stdout, exp)
+		fmt.Fprintf(stdout, "converted branches: %d, static growth: %.1f%%\n",
 			len(rep.Converted), rep.PISCS())
-		return
+		return nil
 	}
 
-	r, err := harness.RunBenchmark(c, o)
+	r, err := harness.RunBenchmark(cfg, o)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	row := r.Table2()
-	fmt.Printf("benchmark   %s (%s)\n", c.Name, c.Suite)
-	fmt.Printf("speedup     %.2f%% (all refs, %d-wide); best ref %.2f%%\n",
+	fmt.Fprintf(stdout, "benchmark   %s (%s)\n", cfg.Name, cfg.Suite)
+	fmt.Fprintf(stdout, "speedup     %.2f%% (all refs, %d-wide); best ref %.2f%%\n",
 		r.SpeedupAllRefsPct(*width), *width, r.SpeedupBestRefPct(*width))
-	fmt.Printf("converted   %d of %d forward branches (PBC %.1f%%)\n",
+	fmt.Fprintf(stdout, "converted   %d of %d forward branches (PBC %.1f%%)\n",
 		len(r.Report.Converted), r.Report.ForwardStatic, row.PBC)
-	fmt.Printf("PDIH %.1f%%  PHI %.1f%%  ASPCB %.1f  MPPKI %.1f  PISCS %.1f%%\n",
+	fmt.Fprintf(stdout, "PDIH %.1f%%  PHI %.1f%%  ASPCB %.1f  MPPKI %.1f  PISCS %.1f%%\n",
 		row.PDIH, row.PHI, row.ASPCB, row.MPPKI, row.PISCS)
 	for _, in := range r.Inputs {
 		for _, wr := range in.Runs {
-			fmt.Printf("input seed %d: base %d cycles (IPC %.3f) -> exp %d cycles (IPC %.3f), %+.2f%%\n",
+			fmt.Fprintf(stdout, "input seed %d: base %d cycles (IPC %.3f) -> exp %d cycles (IPC %.3f), %+.2f%%\n",
 				in.Input.Seed, wr.Base.Cycles, wr.Base.IPC(), wr.Exp.Cycles, wr.Exp.IPC(),
 				metrics.SpeedupPct(wr.Base.Cycles, wr.Exp.Cycles))
 		}
@@ -126,7 +113,7 @@ func main() {
 		wr := r.Inputs[0].Runs[0]
 		if wr.Base.Attr != nil && wr.Exp.Attr != nil {
 			d := &harness.AttrDiff{
-				Benchmark: c.Name,
+				Benchmark: cfg.Name,
 				Width:     *width,
 				Input:     r.Inputs[0].Input,
 				Base:      wr.Base.Attr,
@@ -134,39 +121,13 @@ func main() {
 				Profile:   r.Profile,
 				Transform: r.Report,
 			}
-			fmt.Println()
-			harness.WriteAttrDiff(os.Stdout, d, 10)
+			fmt.Fprintln(stdout)
+			harness.WriteAttrDiff(stdout, d, 10)
 		}
 	}
-	if o.Probe && len(r.Inputs) > 0 {
-		wr := r.Inputs[0].Runs[0]
-		if *bpredRep && wr.Base.Bpred != nil && wr.Exp.Bpred != nil {
-			fmt.Println()
-			harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/base w%d", c.Name, wr.Width), wr.Base.Bpred, 10)
-			harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/exp w%d", c.Name, wr.Width), wr.Exp.Bpred, 10)
-		}
-		if *bpredCSV != "" {
-			f, err := os.Create(*bpredCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := harness.WriteBpredCSV(f, []*harness.BenchResult{r}); err != nil {
-				f.Close()
-				log.Fatalf("%s: %v", *bpredCSV, err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *bpredCSV)
-		}
+	if err := c.WriteBpred("", 10, []*harness.BenchResult{r}); err != nil {
+		return err
 	}
-	if _, err := harness.WriteSweepArtifacts(o.Recorder, *sweepOut, *sweepChr, o.Cache); err != nil {
-		log.Fatal(err)
-	}
-	if *sweepOut != "" {
-		log.Printf("wrote %s", *sweepOut)
-	}
-	if *sweepChr != "" {
-		log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *sweepChr)
-	}
+	_, err = c.Finish()
+	return err
 }

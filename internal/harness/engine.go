@@ -31,7 +31,7 @@ import (
 // lane core existed must never alias entries computed through it, so the
 // whole namespace moves. v5: simulations dispatch through predecoded
 // kernels by default and simKey gained the Dispatch field — kernels and
-// switch are proven byte-identical (the kernel-gate differential), but
+// switch are proven byte-identical (the dispatch differential), but
 // pre-kernel entries must never alias post-kernel ones and the two modes
 // must never alias each other. v6: simKeyMaterial gained the Probe field,
 // so probed runs (whose Stats carry a predictor-observatory study) never

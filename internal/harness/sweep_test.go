@@ -92,7 +92,7 @@ func TestWriteSweepArtifacts(t *testing.T) {
 	}
 }
 
-// TestSweepGateConservation is the make sweep-gate acceptance: an
+// TestSweepGateConservation is the flight recorder's acceptance: an
 // uncached end-to-end benchmark run with the flight recorder attached
 // produces a recording that satisfies Check and reconciles span-for-span
 // with what the engine says it executed.

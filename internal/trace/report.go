@@ -226,24 +226,41 @@ func (r *Report) bpredstudied() bool {
 	return false
 }
 
-// Write renders the report as indented JSON, stamping the highest schema
-// tag whose optional section is present (v6 bpredstudy over v5 sweep
-// over v4 pipeview over v3 attribution over v2 samples; a plain report
-// stays v1).
+// Sections names the optional sections a report carries.
+type Sections struct {
+	Samples, Attribution, Pipeview, Sweep, Bpredstudy bool
+}
+
+// SchemaFor returns the schema tag of a report carrying the sections s:
+// the highest tag whose section is present (v6 bpredstudy over v5 sweep
+// over v4 pipeview over v3 attribution over v2 samples), or v1 for none.
+func SchemaFor(s Sections) string {
+	switch {
+	case s.Bpredstudy:
+		return SchemaV6
+	case s.Sweep:
+		return SchemaV5
+	case s.Pipeview:
+		return SchemaV4
+	case s.Attribution:
+		return SchemaV3
+	case s.Samples:
+		return SchemaV2
+	}
+	return SchemaV1
+}
+
+// Write renders the report as indented JSON. A report still at the base
+// tag is stamped with the SchemaFor the sections it carries.
 func (r *Report) Write(w io.Writer) error {
 	if r.Schema == SchemaV1 {
-		switch {
-		case r.bpredstudied():
-			r.Schema = SchemaV6
-		case r.Sweep != nil:
-			r.Schema = SchemaV5
-		case r.pipeviewed():
-			r.Schema = SchemaV4
-		case r.attributed():
-			r.Schema = SchemaV3
-		case r.sampled():
-			r.Schema = SchemaV2
-		}
+		r.Schema = SchemaFor(Sections{
+			Samples:     r.sampled(),
+			Attribution: r.attributed(),
+			Pipeview:    r.pipeviewed(),
+			Sweep:       r.Sweep != nil,
+			Bpredstudy:  r.bpredstudied(),
+		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
