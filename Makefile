@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results staticcheck
+.PHONY: all build test check fmt vet race perfbench bench bench-all bench-diff bench-json results staticcheck
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -28,11 +28,17 @@ vet:
 	$(GO) vet ./...
 
 # The whole suite under the race detector and uncached, so every
-# invariant test (attribution and predictor-probe conservation, lane and
-# dispatch differentials, sweep-recorder spans, pipeview lifecycles,
+# invariant test (attribution and predictor-probe conservation, shared-Code
+# and dispatch differentials, sweep-recorder spans, pipeview lifecycles,
 # observer-off byte-identity) runs on every check.
 race:
 	$(GO) test -race -count=1 ./...
+
+# The benchmark module (perfbench/) is a module of its own, so the root
+# `go build ./...` never compiles it; vet and test it here so an API it
+# depends on cannot break unnoticed. Offline, about a second.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Pinned static analysis. Offline-gated: `go run pkg@version` must
 # download the tool, so when the module proxy is unreachable (air-gapped
@@ -54,7 +60,7 @@ staticcheck:
 	fi
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck race
+check: fmt vet build staticcheck race perfbench
 
 # Simulator-throughput benchmarks (simulated MIPS + allocation counts),
 # benchstat-friendly: five samples per benchmark, compare against the

@@ -46,17 +46,9 @@ type Cache struct {
 	Misses   uint64
 }
 
-// Geom is one level's derived tag geometry: the line shift and set count
-// every tag computation indexes through. Deriving it is where the
-// power-of-two validation lives, so a lane group can compute and check
-// the geometry once and stamp it into every lane's caches.
-type Geom struct {
-	Shift  uint   // log2(LineBytes)
-	SetCnt uint64 // number of sets (power of two)
-}
-
-// Geom derives (and validates) the level's tag geometry.
-func (cfg Config) Geom() Geom {
+// New builds a cache from its configuration. It panics unless the set
+// count is a positive power of two.
+func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
@@ -65,22 +57,13 @@ func (cfg Config) Geom() Geom {
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		shift++
 	}
-	return Geom{Shift: shift, SetCnt: uint64(nsets)}
-}
-
-// New builds a cache from its configuration.
-func New(cfg Config) *Cache { return NewWithGeom(cfg, cfg.Geom()) }
-
-// NewWithGeom builds a cache over precomputed geometry; g must be
-// cfg.Geom() (lane groups derive it once and share it across lanes).
-func NewWithGeom(cfg Config, g Geom) *Cache {
 	c := &Cache{
 		cfg:    cfg,
-		setCnt: g.SetCnt,
+		setCnt: uint64(nsets),
 		ways:   cfg.Ways,
-		shift:  g.Shift,
-		lines:  make([]line, int(g.SetCnt)*cfg.Ways),
-		mru:    make([]uint64, g.SetCnt),
+		shift:  shift,
+		lines:  make([]line, nsets*cfg.Ways),
+		mru:    make([]uint64, nsets),
 	}
 	for i := range c.mru {
 		c.mru[i] = noMRU

@@ -18,7 +18,6 @@ import (
 	"vanguard/internal/engine"
 	"vanguard/internal/exec"
 	"vanguard/internal/harness"
-	"vanguard/internal/pipeline"
 	"vanguard/internal/trace"
 )
 
@@ -45,7 +44,6 @@ type Group uint
 
 const (
 	EngineFlags   Group = 1 << iota // -jobs, -cache-dir, -no-cache
-	LaneFlags                       // -lanes
 	DispatchFlags                   // -dispatch
 	MonitorFlags                    // -progress, -listen
 	RecorderFlags                   // -sweep-trace, -sweep-chrome
@@ -75,7 +73,7 @@ type Command struct {
 	EngineStats *harness.EngineStats
 
 	groups       Group
-	jobs, lanes  int
+	jobs         int
 	cacheDir     string
 	noCache      bool
 	dispatchName string
@@ -100,9 +98,6 @@ func New(name string, stdout, stderr io.Writer, groups Group) *Command {
 		fs.IntVar(&c.jobs, "jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 		fs.StringVar(&c.cacheDir, "cache-dir", engine.DefaultDir(), "on-disk run cache directory")
 		fs.BoolVar(&c.noCache, "no-cache", false, "disable the on-disk run cache")
-	}
-	if groups&LaneFlags != 0 {
-		fs.IntVar(&c.lanes, "lanes", 0, fmt.Sprintf("max same-image simulations stepped as one lane group (0 = auto, %d; 1 = scalar); results are byte-identical at any value", pipeline.DefaultLanes))
 	}
 	if groups&DispatchFlags != 0 {
 		fs.StringVar(&c.dispatchName, "dispatch", "kernels", "instruction dispatch engine: kernels (per-PC compiled at load) or switch (reference exec.Step); results are byte-identical")
@@ -218,7 +213,7 @@ func (c *Command) Options(o *harness.Options) {
 	if c.groups&EngineFlags != 0 && c.EngineStats == nil {
 		c.EngineStats = &harness.EngineStats{}
 	}
-	o.Jobs, o.Lanes, o.Dispatch = c.jobs, c.lanes, c.Dispatch
+	o.Jobs, o.Dispatch = c.jobs, c.Dispatch
 	o.Cache, o.Monitor, o.Recorder = c.Cache, c.Monitor, c.Recorder
 	o.EngineStats, o.Probe = c.EngineStats, c.Probe()
 }

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"vanguard/internal/trace"
 )
 
 // TestRunOrder: results come back in enumeration order no matter how the
@@ -266,160 +270,63 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// TestRunBatchedGroups: same-BatchKey units coalesce into batches of at
-// most Lanes, units without a BatchKey stay scalar, and results land in
-// enumeration order either way.
-func TestRunBatchedGroups(t *testing.T) {
-	var units []Unit[int]
-	for i := 0; i < 10; i++ {
-		key := "g1"
-		if i >= 6 {
-			key = "g2"
-		}
-		if i == 9 {
-			key = "" // scalar straggler
-		}
-		units = append(units, Unit[int]{
-			Label:    fmt.Sprintf("u%d", i),
-			BatchKey: key,
-			Run:      func(context.Context) (int, error) { return 100 + i, nil },
-		})
-	}
-	var mu sync.Mutex
-	var batches [][]int
-	batchRun := func(_ context.Context, idxs []int) ([]int, []error) {
-		mu.Lock()
-		batches = append(batches, append([]int(nil), idxs...))
-		mu.Unlock()
-		vs := make([]int, len(idxs))
-		for j, i := range idxs {
-			vs[j] = 100 + i
-		}
-		return vs, make([]error, len(idxs))
-	}
-	res, _, err := RunBatched(context.Background(), Config{Jobs: 2, Lanes: 4}, units, batchRun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res {
-		if v != 100+i {
-			t.Fatalf("res[%d] = %d, want %d", i, v, 100+i)
+// TestRunUnitPanic: a unit that panics fails the run with its own label,
+// the panic value and the stack instead of crashing the process; the
+// other units still run, the recording ends the panicking unit with a
+// fail terminal and still satisfies Check, and the monitor counts it as a
+// unit error.
+func TestRunUnitPanic(t *testing.T) {
+	const n, bad = 100, 37
+	var ran atomic.Int64
+	units := make([]Unit[int], n)
+	for i := range units {
+		units[i] = Unit[int]{
+			Label: fmt.Sprintf("u%d", i),
+			Run: func(context.Context) (int, error) {
+				if i == bad {
+					panic("unit exploded")
+				}
+				ran.Add(1)
+				return i, nil
+			},
 		}
 	}
-	// g1 = {0..5} chunks to [0 1 2 3] + [4 5]; g2 = {6,7,8} is one batch;
-	// unit 9 is scalar (never passed to batchRun).
-	want := map[string]bool{"[0 1 2 3]": true, "[4 5]": true, "[6 7 8]": true}
-	if len(batches) != 3 {
-		t.Fatalf("got %d batches %v, want 3", len(batches), batches)
+	rec := NewSweepRecorder()
+	mon := NewMonitor()
+	_, _, err := Run(context.Background(), Config{Jobs: 4, Recorder: rec, Monitor: mon}, units)
+	if err == nil {
+		t.Fatal("a panicking unit must fail the run")
 	}
-	for _, b := range batches {
-		if !want[fmt.Sprint(b)] {
-			t.Fatalf("unexpected batch %v (all: %v)", b, batches)
+	for _, want := range []string{"u37: ", "panic: unit exploded", "engine_test.go"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
 		}
+	}
+	if ran.Load() == 0 {
+		t.Error("no other unit ran")
+	}
+	s := rec.Report()
+	if err := s.Check(); err != nil {
+		t.Fatalf("recording violates conservation: %v", err)
+	}
+	if s.Failed != 1 {
+		t.Errorf("recorded %d failed units, want 1", s.Failed)
+	}
+	for _, sp := range s.Spans {
+		if sp.Phase == trace.SweepPhaseUnit && sp.Unit == bad && sp.Outcome != trace.SweepFail {
+			t.Errorf("panicking unit ended %q, want %q", sp.Outcome, trace.SweepFail)
+		}
+	}
+	metrics := httptest.NewRecorder()
+	mon.Handler().ServeHTTP(metrics, httptest.NewRequest("GET", "/metrics", nil))
+	if body := metrics.Body.String(); !strings.Contains(body, "vanguard_unit_errors_total 1\n") {
+		t.Errorf("metrics do not count the panic as a unit error:\n%s", body)
 	}
 }
 
-// TestRunBatchedPerUnitCache: a batch probes and fills the cache per
-// unit, so a later scalar run over the same keys is served entirely from
-// cache, and a partially cached batch hands batchRun only the misses.
-func TestRunBatchedPerUnitCache(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() []Unit[int] {
-		var units []Unit[int]
-		for i := 0; i < 4; i++ {
-			units = append(units, Unit[int]{
-				Label:    fmt.Sprintf("u%d", i),
-				Key:      fmt.Sprintf("key%d", i),
-				BatchKey: "g",
-				Run:      func(context.Context) (int, error) { return 7 * i, nil },
-			})
-		}
-		return units
-	}
-	batchRun := func(_ context.Context, idxs []int) ([]int, []error) {
-		vs := make([]int, len(idxs))
-		for j, i := range idxs {
-			vs[j] = 7 * i
-		}
-		return vs, make([]error, len(idxs))
-	}
-	// Pre-seed unit 2's entry, then run the batch: batchRun must see the
-	// other three only.
-	data, _ := json.Marshal(14)
-	c.Put("key2", data)
-	var got [][]int
-	probe := func(ctx context.Context, idxs []int) ([]int, []error) {
-		got = append(got, append([]int(nil), idxs...))
-		return batchRun(ctx, idxs)
-	}
-	_, st, err := RunBatched(context.Background(), Config{Jobs: 1, Lanes: 4, Cache: c}, mk(), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || fmt.Sprint(got[0]) != "[0 1 3]" {
-		t.Fatalf("batchRun saw %v, want [[0 1 3]]", got)
-	}
-	if st.CacheHits != 1 || st.CacheMisses != 3 {
-		t.Fatalf("hits/misses = %d/%d, want 1/3", st.CacheHits, st.CacheMisses)
-	}
-	// Second run: all four served from per-unit entries, batchRun unused.
-	got = nil
-	res, st2, err := RunBatched(context.Background(), Config{Jobs: 1, Lanes: 4, Cache: c}, mk(), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("batchRun ran on fully cached units: %v", got)
-	}
-	if st2.CacheHits != 4 {
-		t.Fatalf("hits = %d, want 4", st2.CacheHits)
-	}
-	for i, v := range res {
-		if v != 7*i {
-			t.Fatalf("res[%d] = %d, want %d", i, v, 7*i)
-		}
-	}
-}
-
-// TestRunBatchedErrorAttribution: a failing unit inside a batch fails
-// the run with its own label and index, and the lowest-indexed failure
-// wins; batch siblings still get their results.
-func TestRunBatchedErrorAttribution(t *testing.T) {
-	errB := errors.New("lane blew up")
-	var units []Unit[int]
-	for i := 0; i < 4; i++ {
-		units = append(units, Unit[int]{
-			Label:    fmt.Sprintf("u%d", i),
-			BatchKey: "g",
-			Run:      func(context.Context) (int, error) { return i, nil },
-		})
-	}
-	batchRun := func(_ context.Context, idxs []int) ([]int, []error) {
-		vs := make([]int, len(idxs))
-		errs := make([]error, len(idxs))
-		for j, i := range idxs {
-			if i == 1 {
-				errs[j] = errB
-				continue
-			}
-			vs[j] = i
-		}
-		return vs, errs
-	}
-	_, _, err := RunBatched(context.Background(), Config{Jobs: 1, Lanes: 4}, units, batchRun)
-	if !errors.Is(err, errB) {
-		t.Fatalf("err = %v, want %v", err, errB)
-	}
-	if want := "u1: lane blew up"; err.Error() != want {
-		t.Fatalf("err = %q, want %q", err.Error(), want)
-	}
-}
-
-// TestRunBatchedLanesDisabled: Lanes <= 1 (or a nil batchRun) degrades
-// to the scalar scheduler even when units carry batch keys.
+// TestRunBatchedLanesDisabled pins the deprecated RunBatched shim: it is
+// Run, so batchRun is never called even when units carry batch keys, and
+// every result comes from the unit's own Run.
 func TestRunBatchedLanesDisabled(t *testing.T) {
 	var units []Unit[int]
 	for i := 0; i < 4; i++ {
@@ -434,12 +341,12 @@ func TestRunBatchedLanesDisabled(t *testing.T) {
 		called = true
 		return make([]int, len(idxs)), make([]error, len(idxs))
 	}
-	res, _, err := RunBatched(context.Background(), Config{Jobs: 2, Lanes: 1}, units, batchRun)
+	res, _, err := RunBatched(context.Background(), Config{Jobs: 2, Lanes: 4}, units, batchRun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if called {
-		t.Fatal("batchRun called with Lanes=1")
+		t.Fatal("the RunBatched shim called batchRun")
 	}
 	for i, v := range res {
 		if v != i {

@@ -11,10 +11,10 @@ import (
 // TestKernelDispatchDifferential is the end-to-end dispatch
 // differential: the full harness pipeline — build, profile, transform,
 // golden check, timing simulation, report — must produce byte-identical
-// reports (modulo the engine section) under kernel and switch dispatch,
-// both scalar (Lanes=1) and lane-grouped (Lanes=0, auto). Runs under
-// -race in `make check`, so it also audits the compiled kernel table for
-// cross-lane sharing hazards.
+// reports (modulo the engine section) under kernel and switch dispatch.
+// Runs under -race in `make check` on several workers, so it also audits
+// the compiled kernel table, which machines on different goroutines
+// share through one pipeline.Code, for sharing hazards.
 func TestKernelDispatchDifferential(t *testing.T) {
 	cs := []workload.Config{}
 	for _, name := range []string{"h264ref", "milc"} {
@@ -25,10 +25,9 @@ func TestKernelDispatchDifferential(t *testing.T) {
 		cs = append(cs, c)
 	}
 
-	run := func(d exec.Dispatch, lanes int) []byte {
+	run := func(d exec.Dispatch) []byte {
 		o := fastOptions()
 		o.Dispatch = d
-		o.Lanes = lanes
 		rs, err := RunBenchmarks(cs, o)
 		if err != nil {
 			t.Fatal(err)
@@ -36,11 +35,7 @@ func TestKernelDispatchDifferential(t *testing.T) {
 		return reportBytes(t, rs)
 	}
 
-	ref := run(exec.DispatchSwitch, 1)
-	for _, lanes := range []int{1, 0} {
-		if got := run(exec.DispatchKernels, lanes); !bytes.Equal(ref, got) {
-			t.Fatalf("kernel dispatch (lanes=%d) diverged from switch reference:\n--- switch ---\n%s\n--- kernels ---\n%s",
-				lanes, ref, got)
-		}
+	if ref, got := run(exec.DispatchSwitch), run(exec.DispatchKernels); !bytes.Equal(ref, got) {
+		t.Fatalf("kernel dispatch diverged from switch reference:\n--- switch ---\n%s\n--- kernels ---\n%s", ref, got)
 	}
 }

@@ -114,43 +114,6 @@ func TestJobs1RepeatDifferential(t *testing.T) {
 	}
 }
 
-// TestLanesDifferential: the lane-group scheduler is pure execution
-// policy. The same suite run scalar (Lanes=1) and lane-grouped (Lanes=0,
-// the auto default) must produce byte-identical reports at any jobs
-// count — the harness-level face of the pipeline lanes differential.
-// FastOptions' two REF inputs share an iteration count, so the laned runs
-// genuinely coalesce multi-lane groups rather than degenerating to
-// singletons.
-func TestLanesDifferential(t *testing.T) {
-	cs := []workload.Config{}
-	for _, name := range []string{"h264ref", "milc"} {
-		c, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("missing benchmark %q", name)
-		}
-		cs = append(cs, c)
-	}
-
-	run := func(lanes, jobs int) []byte {
-		o := fastOptions()
-		o.Lanes = lanes
-		o.Jobs = jobs
-		rs, err := RunBenchmarks(cs, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reportBytes(t, rs)
-	}
-
-	scalar := run(1, 1)
-	for _, jobs := range []int{1, 8} {
-		if got := run(0, jobs); !bytes.Equal(scalar, got) {
-			t.Fatalf("laned run (jobs=%d) diverged from scalar run:\n--- scalar ---\n%s\n--- laned ---\n%s",
-				jobs, scalar, got)
-		}
-	}
-}
-
 // TestWarmCache: a second run over a shared cache directory reports hits
 // for every timing simulation and produces identical results.
 func TestWarmCache(t *testing.T) {

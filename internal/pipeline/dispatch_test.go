@@ -16,8 +16,7 @@ import (
 // the predecoded-kernel dispatch engine must produce byte-identical
 // statistics — every cycle count, stall histogram, and branch counter —
 // and identical architectural memory to the reference switch dispatch,
-// on random structured programs across machine widths, both scalar and
-// lane-grouped.
+// on random structured programs across machine widths.
 func TestDispatchDifferential(t *testing.T) {
 	run := func(p *ir.Program, m *mem.Memory, w int, d exec.Dispatch) (*Stats, *mem.Memory) {
 		t.Helper()
@@ -47,40 +46,30 @@ func TestDispatchDifferential(t *testing.T) {
 	}
 }
 
-// TestDispatchDifferentialLanes repeats the A/B across the lane-parallel
-// core: a kernel-dispatch lane group must match scalar switch-dispatch
-// machines stat-for-stat.
+// TestDispatchDifferentialLanes repeats the A/B for machines sharing one
+// Code: kernel-dispatch machines over a single compiled image must match
+// fresh switch-dispatch machines stat-for-stat.
 func TestDispatchDifferentialLanes(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	prog, m := randomLoopProgram(r)
 	im := ir.MustLinearize(prog)
-	const lanes = 3
-
-	scalar := make([]*Stats, lanes)
-	for i := range scalar {
-		cfg := DefaultConfig(4)
-		cfg.Dispatch = exec.DispatchSwitch
-		st, err := New(im, m.Clone(), cfg).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar[i] = st
-	}
+	const machines = 3
 
 	cfg := DefaultConfig(4)
-	cfg.Dispatch = exec.DispatchKernels
-	mems := make([]*mem.Memory, lanes)
-	for i := range mems {
-		mems[i] = m.Clone()
+	cfg.Dispatch = exec.DispatchSwitch
+	want, err := New(im, m.Clone(), cfg).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := NewLaneGroup(im, mems, cfg)
-	stats, errs := g.Run()
-	for i := 0; i < lanes; i++ {
-		if errs[i] != nil {
-			t.Fatalf("lane %d: %v", i, errs[i])
+	cfg.Dispatch = exec.DispatchKernels
+	code := Compile(im)
+	for i := 0; i < machines; i++ {
+		st, err := NewFromCode(code, m.Clone(), cfg).Run()
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(scalar[i], stats[i]) {
-			t.Fatalf("lane %d: kernel lane group diverged from scalar switch machine", i)
+		if !reflect.DeepEqual(want, st) {
+			t.Fatalf("machine %d: kernel machine over a shared Code diverged from a switch machine", i)
 		}
 	}
 }
@@ -113,11 +102,10 @@ func TestDispatchCompileErrorSurfacing(t *testing.T) {
 	}
 
 	cfg.Dispatch = exec.DispatchKernels
-	g := NewLaneGroup(im, []*mem.Memory{mem.New(), mem.New()}, cfg)
-	_, errs := g.Run()
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("lane %d: lane group must surface the compile rejection", i)
+	code := Compile(im)
+	for i := 0; i < 2; i++ {
+		if _, err := NewFromCode(code, mem.New(), cfg).Run(); err == nil {
+			t.Fatalf("machine %d: a machine over a shared Code must surface the compile rejection", i)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"slices"
 	"testing"
@@ -88,6 +89,17 @@ type eventLog []trace.Event
 
 func (l *eventLog) Emit(ev trace.Event) { *l = append(*l, ev) }
 func (l *eventLog) Close() error        { return nil }
+
+// statsJSON marshals a run's full Stats (counters, histograms, and any
+// attached telemetry reports) for byte-level comparison.
+func statsJSON(t *testing.T, st *Stats) []byte {
+	t.Helper()
+	buf, err := json.Marshal(st)
+	if err != nil {
+		t.Fatalf("marshal stats: %v", err)
+	}
+	return buf
+}
 
 // runForDiff runs one machine and returns its Stats JSON (with the error
 // text of a failed or capped run appended), every trace event when sink

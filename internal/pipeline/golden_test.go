@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"vanguard/internal/harness"
@@ -39,8 +40,8 @@ var goldenWorkloads = []struct {
 
 // goldenIters is the REF iteration count of every case, and goldenSeeds
 // its REF seeds: one Machine.Run each, and together the lanes of one
-// LaneGroup run (the lanes share the patched image, so the seeds share
-// an iteration count).
+// deprecated LaneGroup run (the lanes share the patched image, so the
+// seeds share an iteration count).
 const goldenIters = 400
 
 var goldenSeeds = []int64{202, 303}
@@ -180,10 +181,11 @@ var goldenVariants = []goldenVariant{
 }
 
 // statsDigests runs every golden case through both Machine.Run (once per
-// REF input) and one LaneGroup holding all REF inputs, fails on any
-// scalar/lane mismatch or on a first-input mismatch against per-cycle
-// stepping (the fast-forward's differential oracle), and returns "<workload> <binary> w<width>
-// <variant> s<seed>" → digest.
+// REF input) and one deprecated LaneGroup holding all REF inputs (the
+// shim's check), fails on any scalar/lane mismatch or on a first-input
+// mismatch against per-cycle stepping (the fast-forward's differential
+// oracle), and returns "<workload> <binary> w<width> <variant> s<seed>"
+// → digest.
 func statsDigests(tb testing.TB) (keys []string, sums map[string]string) {
 	sums = map[string]string{}
 	for _, u := range goldenUnits(tb) {
@@ -227,9 +229,9 @@ func statsDigests(tb testing.TB) (keys []string, sums map[string]string) {
 // TestGoldenStats pins the full Stats of a spread of simulations —
 // memory-bound, stall-light and I-cache-heavy configs, base and exp, at
 // widths 2/4/8, with every observer and both run caps — through both
-// Machine.Run and LaneGroup. A change to the cycle loop that moves a
-// single counter, histogram bucket, sample window or attribution slot
-// anywhere fails here. After an intentional timing change, regenerate with
+// Machine.Run and the deprecated LaneGroup. A change to the cycle loop
+// that moves a single counter, histogram bucket, sample window or
+// attribution slot anywhere fails here. After an intentional timing change, regenerate with
 //
 //	go test ./internal/pipeline -run TestGoldenStats -update
 func TestGoldenStats(t *testing.T) {
@@ -279,6 +281,53 @@ func TestGoldenStats(t *testing.T) {
 			t.Errorf("%s: no golden digest", k)
 		case w != sums[k]:
 			t.Errorf("%s: stats digest %s, golden %s", k, sums[k], w)
+		}
+	}
+}
+
+// TestSharedCode runs machines over one shared Code concurrently, each on
+// its own goroutine with its own width, observers and REF memory, and
+// checks every Stats digest against the same run through a fresh New.
+// Under -race it is the proof that a Code is only ever read.
+func TestSharedCode(t *testing.T) {
+	type run struct {
+		name string
+		cfg  pipeline.Config
+		mem  *mem.Memory
+		want string
+	}
+	for _, u := range goldenUnits(t)[:2] { // one workload, base and exp
+		var runs []run
+		for _, v := range goldenVariants {
+			for _, w := range v.widths {
+				cfg := u.machineConfig(w)
+				if !v.apply(t, &u, &cfg) {
+					continue
+				}
+				m := u.mems[len(runs)%len(u.mems)]
+				st, err := pipeline.New(u.im, m.Clone(), cfg).Run()
+				runs = append(runs, run{fmt.Sprintf("%s w%d %s", u.label, w, v.name), cfg, m, statsDigest(t, st, err)})
+			}
+		}
+		if len(runs) < 8 {
+			t.Fatalf("%s: %d concurrent machines, want at least 8", u.label, len(runs))
+		}
+		code := pipeline.Compile(u.im)
+		stats := make([]*pipeline.Stats, len(runs))
+		errs := make([]error, len(runs))
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stats[i], errs[i] = pipeline.NewFromCode(code, runs[i].mem.Clone(), runs[i].cfg).Run()
+			}()
+		}
+		wg.Wait()
+		for i, r := range runs {
+			if got := statsDigest(t, stats[i], errs[i]); got != r.want {
+				t.Errorf("%s: digest over the shared Code %s != fresh New %s", r.name, got, r.want)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -28,21 +27,14 @@ func laneVariants(r *rand.Rand, base *mem.Memory, w int) []*mem.Memory {
 	return mems
 }
 
-// statsJSON marshals one lane's full Stats (counters, histograms, and
-// any attached telemetry reports) for byte-level comparison.
-func statsJSON(t *testing.T, st *Stats) []byte {
-	t.Helper()
-	buf, err := json.Marshal(st)
-	if err != nil {
-		t.Fatalf("marshal stats: %v", err)
-	}
-	return buf
-}
+// The tests below pin the contract of the deprecated LaneGroup shim that
+// the benchmark's replay still builds on: lane i of a group behaves
+// exactly like New(im, mems[i], cfg). They go with the shim.
 
-// TestLaneGroupMatchesScalar is the lane-core correctness oracle: every
-// lane of a W-wide group must produce byte-identical Stats JSON and
-// identical architectural memory to the same unit run through a scalar
-// Machine, across random programs and machine widths.
+// TestLaneGroupMatchesScalar: every lane of a W-wide group must produce
+// byte-identical Stats JSON and identical architectural memory to the
+// same unit run through a scalar Machine, across random programs and
+// machine widths.
 func TestLaneGroupMatchesScalar(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(1000 + seed))
@@ -115,10 +107,9 @@ func TestLaneGroupSingleLaneMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLaneGroupIndependentRetirement pins the masking contract: lanes
-// that finish early are masked out while the rest keep stepping, and a
-// lane that hits its cycle cap reports the same error a scalar run does
-// without disturbing its neighbours.
+// TestLaneGroupIndependentRetirement: a lane that hits its cycle cap
+// reports the same error a scalar run does without disturbing its
+// neighbours.
 func TestLaneGroupIndependentRetirement(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	prog, base := randomLoopProgram(r)
@@ -162,11 +153,10 @@ func TestLaneGroupIndependentRetirement(t *testing.T) {
 	}
 }
 
-// TestLaneGroupObserverHooks pins the observer contract under lanes:
-// attribution, the cycle-window sampler, and the pipeview recorder are
-// all strictly per-lane state, so a laned run with every hook enabled
-// must reproduce each lane's scalar telemetry reports byte for byte —
-// hooks work per lane rather than being rejected.
+// TestLaneGroupObserverHooks: attribution, the cycle-window sampler, and
+// the pipeview recorder are per-lane state, so a group run with every
+// hook enabled must reproduce each lane's scalar telemetry reports byte
+// for byte.
 func TestLaneGroupObserverHooks(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	prog, base := randomLoopProgram(r)

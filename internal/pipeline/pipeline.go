@@ -52,8 +52,8 @@ type fetchSpec struct {
 // predecoded caches the per-PC instruction metadata the issue stage needs
 // every cycle (register uses/def, functional unit, latency, kind flags),
 // so the hot loop indexes one flat array instead of re-deriving it through
-// isa switches per issued instruction. Built once per machine at load; the
-// image is immutable for the life of the run.
+// isa switches per issued instruction. Built once per image by Compile and
+// shared read-only by every machine over that image.
 type predecoded struct {
 	// kernel is the instruction's compiled semantics (exec.Compile): one
 	// direct-through-pointer call replaces exec.Step's megamorphic opcode
@@ -118,6 +118,29 @@ func predecode(instrs []isa.Instr) ([]predecoded, error) {
 		p.pure = exec.CompilePure(ins)
 	}
 	return pre, firstErr
+}
+
+// Code is the immutable compiled form of one program image: the image,
+// its predecode table with every instruction's kernel, and the largest
+// static BranchID (which sizes the attribution and probe books). Compile
+// builds it once; any number of machines, on any goroutines, may then run
+// over it through NewFromCode, because no machine ever writes to it. A
+// machine over a shared Code is indistinguishable from one built by New.
+type Code struct {
+	im        *ir.Image
+	pre       []predecoded
+	err       error // predecode's kernel-compile error
+	maxBranch int
+}
+
+// Compile predecodes im. The image must not change afterwards.
+func Compile(im *ir.Image) *Code {
+	pre, err := predecode(im.Instrs)
+	c := &Code{im: im, pre: pre, err: err}
+	for i := range im.Instrs {
+		c.maxBranch = max(c.maxBranch, im.Instrs[i].BranchID)
+	}
+	return c
 }
 
 // ---- speculation checkpoints ----
@@ -255,7 +278,7 @@ type Machine struct {
 	feDelay  int64 // FrontEndDepth-1: fetched at c, issues no earlier than c+feDelay
 
 	// useKernels mirrors cfg.Dispatch == exec.DispatchKernels for the
-	// issue hot path; preErr is predecode's kernel-compile error (nil for
+	// issue hot path; preErr is the Code's kernel-compile error (nil for
 	// any program made of known opcodes) and blocks Run only under kernel
 	// dispatch.
 	useKernels bool
@@ -388,29 +411,26 @@ type Machine struct {
 // New builds a machine over the image and memory (mutated during the run).
 // It panics on a Config whose Width is below 1.
 func New(im *ir.Image, m *mem.Memory, cfg Config) *Machine {
-	cfg.check()
-	pre, preErr := predecode(im.Instrs)
-	mach := newShared(im, m, cfg, pre, cfg.Hier.Geom())
-	mach.preErr = preErr
-	return mach
+	return NewFromCode(Compile(im), m, cfg)
 }
 
-// newShared builds a machine over caller-supplied predecode and cache
-// geometry. Both are derived deterministically from (im, cfg), so a
-// machine built here is indistinguishable from New's — this is the
-// constructor LaneGroup uses to amortize the per-lane setup across a
-// group of same-image machines.
-func newShared(im *ir.Image, m *mem.Memory, cfg Config, pre []predecoded, geom cache.HierGeom) *Machine {
+// NewFromCode builds a machine over a compiled image and its own memory
+// (mutated during the run). The Code is only read, so machines on other
+// goroutines may share it. It panics on a Config whose Width is below 1.
+func NewFromCode(code *Code, m *mem.Memory, cfg Config) *Machine {
+	cfg.check()
+	im := code.im
 	mach := &Machine{
 		cfg:           cfg,
 		im:            im,
 		mem:           m,
-		Hier:          cache.NewHierarchyWithGeom(cfg.Hier, geom),
+		Hier:          cache.NewHierarchy(cfg.Hier),
 		pred:          cfg.NewPredictor(),
 		btb:           bpred.NewBTB(cfg.BTBLogEntries),
 		ras:           bpred.NewRAS(cfg.RASEntries),
 		DBB:           NewDBB(cfg.DBBEntries),
-		pre:           pre,
+		pre:           code.pre,
+		preErr:        code.err,
 		feDelay:       int64(cfg.FrontEndDepth) - 1,
 		fetchPC:       im.Entry,
 		lastFetchLine: math.MaxUint64,
@@ -431,20 +451,12 @@ func newShared(im *ir.Image, m *mem.Memory, cfg Config, pre []predecoded, geom c
 	if mach.maxCycles <= 0 {
 		mach.maxCycles = 2_000_000_000
 	}
-	if cfg.Attr || cfg.Probe {
-		maxID := 0
-		for i := range im.Instrs {
-			if id := im.Instrs[i].BranchID; id > maxID {
-				maxID = id
-			}
-		}
-		if cfg.Attr {
-			mach.attr = attr.NewRecorder(len(im.Instrs), maxID, cfg.Width)
-		}
-		if cfg.Probe {
-			mach.probe = bpred.NewProbe(maxID)
-			mach.probe.Attach(mach.pred)
-		}
+	if cfg.Attr {
+		mach.attr = attr.NewRecorder(len(im.Instrs), code.maxBranch, cfg.Width)
+	}
+	if cfg.Probe {
+		mach.probe = bpred.NewProbe(code.maxBranch)
+		mach.probe.Attach(mach.pred)
 	}
 	for r := range mach.regWriter {
 		mach.regWriter[r] = -1
@@ -526,26 +538,7 @@ func (m *Machine) Memory() *mem.Memory { return m.mem }
 // committed faults, drain committed stores, inject exceptions, then issue
 // and fetch. It returns done=true when the run is over (HALT drained or an
 // instruction cap hit) and a non-nil error on an architectural fault.
-//
-// The cycle is split into three phases so LaneGroup can interleave them
-// across lanes (all resolves, then all issues, then all fetches, which
-// keeps the shared image/predecode tables hot across the group) while a
-// scalar machine runs them back to back. The phases touch only per-machine
-// state, so the interleaving cannot change any lane's results.
 func (m *Machine) stepCycle() (done bool, err error) {
-	if done, err := m.resolvePhase(); done || err != nil {
-		return done, err
-	}
-	m.issuePhase()
-	m.fetchPhase()
-	return false, nil
-}
-
-// resolvePhase is the back half of a cycle: resolve speculation, surface
-// committed faults, drain committed stores, inject exceptions, and report
-// completion. done/err have stepCycle's meaning; when either is set the
-// remaining phases must not run.
-func (m *Machine) resolvePhase() (done bool, err error) {
 	m.resolve()
 	if err := m.commitFaultCheck(); err != nil {
 		return true, err
@@ -556,7 +549,16 @@ func (m *Machine) resolvePhase() (done bool, err error) {
 		m.takeException()
 		m.nextException += m.cfg.ExceptionEveryN
 	}
-	return m.done(), nil
+	if m.done() {
+		return true, nil
+	}
+	m.issuePhase()
+	m.fetch()
+	m.now++
+	if m.sampler != nil && m.now >= m.sampler.NextAt() {
+		m.closeSampleWindow()
+	}
+	return false, nil
 }
 
 // issuePhase runs the issue stage, attribution-wrapped when enabled, and
@@ -579,7 +581,7 @@ func (m *Machine) issuePhase() {
 
 // fastForward accounts, in one step, the cycles after a zero-issue cycle
 // that would repeat it exactly, leaving the clock on the last of them so
-// fetchPhase runs that cycle's fetch. wake is the earliest cycle the
+// stepCycle runs that cycle's fetch. wake is the earliest cycle the
 // issue stage could act differently (issue's return value).
 //
 // Besides the issue head, only fetch, the cap checks and the resolve
@@ -639,16 +641,6 @@ func (m *Machine) fastForward(wake int64) {
 		m.fetchStall -= skip
 	}
 	m.now += skip
-}
-
-// fetchPhase runs fetch, advances the clock, and closes a sample window
-// that ended on this cycle.
-func (m *Machine) fetchPhase() {
-	m.fetch()
-	m.now++
-	if m.sampler != nil && m.now >= m.sampler.NextAt() {
-		m.closeSampleWindow()
-	}
 }
 
 // closeSampleWindow records the just-finished cycle window and re-arms
@@ -748,9 +740,15 @@ func (m *Machine) attrNoteOperand(pd *predecoded) {
 	m.attrCause, m.attrIdx = attr.OperandWait, 0
 }
 
-// prepareRun attaches the waterfall recorder and the cache-miss event
-// bridge — the setup common to Machine.Run and LaneGroup.Run.
-func (m *Machine) prepareRun() {
+// Run simulates to HALT (or an instruction/cycle cap) and returns stats.
+// Only kernel dispatch refuses to start an image with an uncompilable
+// opcode: switch dispatch is the reference semantics and keeps the
+// step-time fault.
+func (m *Machine) Run() (*Stats, error) {
+	if m.useKernels && m.preErr != nil {
+		m.finishStats()
+		return &m.stats, m.preErr
+	}
 	m.attachPipeview()
 	if m.Sink != nil && m.Hier.OnMiss == nil {
 		m.Hier.OnMiss = func(ms cache.Miss) {
@@ -762,34 +760,10 @@ func (m *Machine) prepareRun() {
 				Cycle: m.now, Seq: -1, Addr: ms.Addr, Val: ms.Latency})
 		}
 	}
-}
-
-// cycleLimitErr is the error a run reports when it hits the cycle cap.
-func (m *Machine) cycleLimitErr() error {
-	return fmt.Errorf("pipeline: cycle limit %d reached at pc %d", m.maxCycles, m.fetchPC)
-}
-
-// compileErr reports the kernel-compile error that blocks this machine
-// from running, or nil. Only kernel dispatch refuses to start: switch
-// dispatch is the reference semantics and keeps the step-time fault.
-func (m *Machine) compileErr() error {
-	if m.useKernels {
-		return m.preErr
-	}
-	return nil
-}
-
-// Run simulates to HALT (or an instruction/cycle cap) and returns stats.
-func (m *Machine) Run() (*Stats, error) {
-	if err := m.compileErr(); err != nil {
-		m.finishStats()
-		return &m.stats, err
-	}
-	m.prepareRun()
 	for {
 		if m.now >= m.maxCycles {
 			m.finishStats()
-			return &m.stats, m.cycleLimitErr()
+			return &m.stats, fmt.Errorf("pipeline: cycle limit %d reached at pc %d", m.maxCycles, m.fetchPC)
 		}
 		done, err := m.stepCycle()
 		if err != nil {

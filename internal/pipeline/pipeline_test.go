@@ -472,8 +472,8 @@ func TestCycleCapErrors(t *testing.T) {
 func TestZeroWidthRejected(t *testing.T) {
 	im := ir.MustLinearize(straightLine(4))
 	for name, build := range map[string]func(Config){
-		"New":          func(cfg Config) { New(im, mem.New(), cfg) },
-		"NewLaneGroup": func(cfg Config) { NewLaneGroup(im, []*mem.Memory{mem.New()}, cfg) },
+		"New":         func(cfg Config) { New(im, mem.New(), cfg) },
+		"NewFromCode": func(cfg Config) { NewFromCode(Compile(im), mem.New(), cfg) },
 	} {
 		for _, w := range []int{0, -1} {
 			func() {

@@ -52,29 +52,10 @@ type SweepSpan struct {
 	// Key is the unit's run-cache content key (unit spans only), so the
 	// recording joins against the sha256-keyed artifact store.
 	Key string `json:"key,omitempty"`
-	// Batch and Width describe lane-group execution: the BatchKey the
-	// unit coalesced under and how many units its group computed together
-	// (compute spans; 1 = scalar).
-	Batch string `json:"batch,omitempty"`
-	Width int    `json:"width,omitempty"`
-}
-
-// SweepGroup records one scheduling task the engine formed: either a
-// lane group (Width > 1) or a scalar task with the reason batching did
-// not apply.
-type SweepGroup struct {
-	BatchKey string `json:"batch_key,omitempty"`
-	Width    int    `json:"width"`
-	Units    []int  `json:"units"`
-	// ScalarReason explains a width-1 task: "no-batch-key" (the unit is
-	// not groupable), "lanes-off" (batching disabled for the run), or
-	// "singleton" (a group that never filled past one unit).
-	ScalarReason string `json:"scalar_reason,omitempty"`
 }
 
 // SweepReport is the full flight recording of one sweep: per-phase spans
-// in deterministic enumeration order, lane-group formation records, and
-// the queue-delay / latency / wasted-work accounting derived from the
+// in deterministic enumeration order and the queue-delay / latency / wasted-work accounting derived from the
 // span timestamps. Wall times vary run to run; span ordering does not.
 type SweepReport struct {
 	Schema      string `json:"schema"`
@@ -90,11 +71,10 @@ type SweepReport struct {
 	QueueWaitUS int64 `json:"queue_wait_us"`
 	// WastedUS totals work that produced nothing: compute time of failed
 	// units plus queue residency of cancelled units.
-	WastedUS    int64        `json:"wasted_us"`
-	QueueDelay  *Hist        `json:"queue_delay_us,omitempty"`
-	UnitLatency *Hist        `json:"unit_latency_us,omitempty"`
-	Spans       []SweepSpan  `json:"spans"`
-	Groups      []SweepGroup `json:"groups,omitempty"`
+	WastedUS    int64       `json:"wasted_us"`
+	QueueDelay  *Hist       `json:"queue_delay_us,omitempty"`
+	UnitLatency *Hist       `json:"unit_latency_us,omitempty"`
+	Spans       []SweepSpan `json:"spans"`
 }
 
 // WriteJSON renders the recording as indented JSON (the sweep_trace.json
@@ -132,9 +112,11 @@ func ReadSweep(r io.Reader) (*SweepReport, error) {
 
 // Check enforces the span conservation invariant: every unit 0..Units-1
 // carries exactly one unit span with a terminal outcome, every phase
-// span nests inside its unit span, probe outcomes reconcile with the
-// hit/miss counters, and terminal outcomes reconcile with the
-// failed/cancelled counters.
+// span nests inside its unit span, compute spans on one worker never
+// overlap (a worker computes one unit at a time, so total compute time
+// is at most workers × wall), probe outcomes reconcile with the hit/miss
+// counters, and terminal outcomes reconcile with the failed/cancelled
+// counters.
 func (s *SweepReport) Check() error {
 	unitSpan := make(map[int]SweepSpan, s.Units)
 	var hits, misses, failed, cancelled int
@@ -190,6 +172,9 @@ func (s *SweepReport) Check() error {
 			}
 		}
 	}
+	if err := s.checkComputeOverlap(); err != nil {
+		return err
+	}
 	if hits != s.CacheHits || misses != s.CacheMisses {
 		return fmt.Errorf("sweep: probe spans count %d hits / %d misses, counters say %d / %d",
 			hits, misses, s.CacheHits, s.CacheMisses)
@@ -197,6 +182,32 @@ func (s *SweepReport) Check() error {
 	if failed != s.Failed || cancelled != s.Cancelled {
 		return fmt.Errorf("sweep: terminal spans count %d failed / %d cancelled, counters say %d / %d",
 			failed, cancelled, s.Failed, s.Cancelled)
+	}
+	return nil
+}
+
+// checkComputeOverlap rejects two compute spans that overlap on one
+// worker.
+func (s *SweepReport) checkComputeOverlap() error {
+	var compute []SweepSpan
+	for _, sp := range s.Spans {
+		if sp.Phase == SweepPhaseCompute {
+			compute = append(compute, sp)
+		}
+	}
+	sort.SliceStable(compute, func(i, j int) bool {
+		a, b := compute[i], compute[j]
+		if a.Worker != b.Worker {
+			return a.Worker < b.Worker
+		}
+		return a.StartUS < b.StartUS
+	})
+	for i := 1; i < len(compute); i++ {
+		prev, sp := compute[i-1], compute[i]
+		if sp.Worker == prev.Worker && sp.StartUS < prev.StartUS+prev.DurUS {
+			return fmt.Errorf("sweep: worker %d computes units %d and %d at once: [%d,%d) overlaps [%d,%d)",
+				sp.Worker, prev.Unit, sp.Unit, prev.StartUS, prev.StartUS+prev.DurUS, sp.StartUS, sp.StartUS+sp.DurUS)
+		}
 	}
 	return nil
 }
@@ -233,9 +244,6 @@ func (s *SweepReport) WriteChrome(w io.Writer) error {
 		if sp.Key != "" {
 			args += fmt.Sprintf(`,"key":"%s"`, jsonEscape(sp.Key))
 		}
-		if sp.Batch != "" {
-			args += fmt.Sprintf(`,"batch":"%s","width":%d`, jsonEscape(sp.Batch), sp.Width)
-		}
 		switch sp.Phase {
 		case SweepPhaseUnit:
 			// The unit span is bookkeeping (it contains the phases below);
@@ -246,11 +254,7 @@ func (s *SweepReport) WriteChrome(w io.Writer) error {
 		case SweepPhaseProbe:
 			c.Span(sweepChromePid, sp.Worker+1, "probe:"+sp.Outcome, "sweep", sp.StartUS, sp.DurUS, args)
 		case SweepPhaseCompute:
-			name := sp.Label
-			if sp.Width > 1 {
-				name = fmt.Sprintf("%s [x%d]", sp.Label, sp.Width)
-			}
-			c.Span(sweepChromePid, sp.Worker+1, name, "sweep", sp.StartUS, sp.DurUS, args)
+			c.Span(sweepChromePid, sp.Worker+1, sp.Label, "sweep", sp.StartUS, sp.DurUS, args)
 		}
 	}
 	// Queue depth over time: all units enqueue at their queue span start;

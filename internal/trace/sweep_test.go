@@ -13,8 +13,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // goldenSweep is a small fixed recording exercising every span shape: a
-// batched miss+compute retire, a cache hit served without compute, a
-// failed batch sibling, and a cancelled unit that never left the queue.
+// miss+compute retire, a cache hit served without compute, a failed
+// compute on the other worker, and a cancelled unit that never left the
+// queue.
 func goldenSweep() *SweepReport {
 	qd, lat := &Hist{}, &Hist{}
 	for _, v := range []int64{10, 5, 10, 80} {
@@ -32,21 +33,16 @@ func goldenSweep() *SweepReport {
 			{Unit: 0, Label: "alpha", Phase: SweepPhaseUnit, Worker: 0, StartUS: 0, DurUS: 50, Outcome: SweepRetire, Key: "k0"},
 			{Unit: 0, Label: "alpha", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 10},
 			{Unit: 0, Label: "alpha", Phase: SweepPhaseProbe, Worker: 0, StartUS: 10, DurUS: 2, Outcome: SweepMiss},
-			{Unit: 0, Label: "alpha", Phase: SweepPhaseCompute, Worker: 0, StartUS: 14, DurUS: 36, Batch: "grp", Width: 2},
+			{Unit: 0, Label: "alpha", Phase: SweepPhaseCompute, Worker: 0, StartUS: 14, DurUS: 36},
 			{Unit: 1, Label: "beta", Phase: SweepPhaseUnit, Worker: 1, StartUS: 0, DurUS: 8, Outcome: SweepRetire, Key: "k1"},
 			{Unit: 1, Label: "beta", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 5},
 			{Unit: 1, Label: "beta", Phase: SweepPhaseProbe, Worker: 1, StartUS: 5, DurUS: 3, Outcome: SweepHit},
-			{Unit: 2, Label: "gamma", Phase: SweepPhaseUnit, Worker: 0, StartUS: 0, DurUS: 50, Outcome: SweepFail, Key: "k2"},
+			{Unit: 2, Label: "gamma", Phase: SweepPhaseUnit, Worker: 1, StartUS: 0, DurUS: 50, Outcome: SweepFail, Key: "k2"},
 			{Unit: 2, Label: "gamma", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 10},
-			{Unit: 2, Label: "gamma", Phase: SweepPhaseProbe, Worker: 0, StartUS: 12, DurUS: 2, Outcome: SweepMiss},
-			{Unit: 2, Label: "gamma", Phase: SweepPhaseCompute, Worker: 0, StartUS: 14, DurUS: 36, Batch: "grp", Width: 2},
+			{Unit: 2, Label: "gamma", Phase: SweepPhaseProbe, Worker: 1, StartUS: 12, DurUS: 2, Outcome: SweepMiss},
+			{Unit: 2, Label: "gamma", Phase: SweepPhaseCompute, Worker: 1, StartUS: 14, DurUS: 36},
 			{Unit: 3, Label: "delta", Phase: SweepPhaseUnit, Worker: -1, StartUS: 0, DurUS: 80, Outcome: SweepCancel},
 			{Unit: 3, Label: "delta", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 80},
-		},
-		Groups: []SweepGroup{
-			{BatchKey: "grp", Width: 2, Units: []int{0, 2}},
-			{Width: 1, Units: []int{1}, ScalarReason: "no-batch-key"},
-			{Width: 1, Units: []int{3}, ScalarReason: "singleton"},
 		},
 	}
 }
@@ -76,6 +72,13 @@ func TestSweepCheckViolations(t *testing.T) {
 		{"miss counter drift", func(s *SweepReport) { s.CacheMisses = 0 }},
 		{"failed counter drift", func(s *SweepReport) { s.Failed = 0 }},
 		{"cancelled counter drift", func(s *SweepReport) { s.Cancelled = 2 }},
+		// The shape lane groups used to record: two units computing on one
+		// worker over the same interval, charging its time twice.
+		{"overlapping compute on one worker", func(s *SweepReport) {
+			for _, i := range []int{7, 9, 10} {
+				s.Spans[i].Worker = 0
+			}
+		}},
 	}
 	for _, tc := range cases {
 		s := goldenSweep()
@@ -225,7 +228,7 @@ func TestSweepChromeRoundTrip(t *testing.T) {
 		t.Errorf("%d queue-depth counter events, want 5", counters)
 	}
 	for _, want := range []string{
-		"alpha [x2]", // batched compute renders its width
+		"alpha", "gamma", // compute spans render under the unit label
 		"probe:hit", "probe:miss",
 		"queue:delta",
 		"tid:worker 0", "tid:worker 1", "tid:queue",
