@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race perfbench bench bench-all bench-diff bench-json results staticcheck
+.PHONY: all build test check fmt vet race bench-smoke perfbench bench bench-all bench-diff bench-json results staticcheck
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -34,6 +34,12 @@ vet:
 race:
 	$(GO) test -race -count=1 ./...
 
+# Every simulator and cache-layer benchmark, run once: a benchmark broken
+# by an API change fails the gate here instead of surfacing only in
+# `make bench`.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Sim|StepCycle|CacheAccess|HierarchyData' -benchtime 1x ./...
+
 # The benchmark module (perfbench/) is a module of its own, so the root
 # `go build ./...` never compiles it; vet and test it here so an API it
 # depends on cannot break unnoticed. Offline, about a second.
@@ -60,7 +66,7 @@ staticcheck:
 	fi
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck race perfbench
+check: fmt vet build staticcheck race bench-smoke perfbench
 
 # Simulator-throughput benchmarks (simulated MIPS + allocation counts),
 # benchstat-friendly: five samples per benchmark, compare against the

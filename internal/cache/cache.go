@@ -4,6 +4,11 @@
 // lines and bounds outstanding misses.
 package cache
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Config describes one set-associative cache level.
 type Config struct {
 	SizeBytes int
@@ -12,63 +17,55 @@ type Config struct {
 	Latency   int // total load-to-use latency for a hit at this level
 }
 
-type line struct {
-	tag     uint64
-	valid   bool
-	lastUse uint64
-}
-
-// noMRU is the empty-slot sentinel for the per-set MRU tag cache. It can
-// never collide with a real tag: tags are addr >> log2(LineBytes), so a
-// tag of all-ones would require an address above 2^64.
-const noMRU = ^uint64(0)
-
 // Cache is one set-associative level with LRU replacement.
 //
-// Way storage is a single flat slice (set-major) rather than a slice of
-// per-set slices, and each set caches the tag of its most-recently-used
-// line. The simulator's access stream is dominated by repeated hits on
-// the same line, and an MRU hit can skip the way scan and the LRU
-// bookkeeping entirely: refreshing the line that already holds the
-// unique per-set maximum lastUse cannot change any future victim choice
-// (victims are picked by comparing lastUse within one set only), so the
-// fast path leaves hit/miss outcomes and both counters byte-identical.
+// Way storage is structure-of-arrays, set-major: tags holds each way's
+// key (its line tag plus one, so the zero value means invalid) and last
+// its LRU stamp. A hit scan reads only the 8-byte keys, and the stamps
+// are read only by a miss's victim scan. Each set also caches the key of
+// its most-recently-used line (0 when unknown). The
+// simulator's access stream is dominated by repeated hits on the same
+// line, and an MRU hit can skip the way scan and the LRU bookkeeping
+// entirely: refreshing the line that already holds the unique per-set
+// maximum stamp cannot change any future victim choice (victims are
+// picked by comparing stamps within one set only), so the fast path
+// leaves hit/miss outcomes and both counters byte-identical. Because 0
+// encodes both "invalid" and "no MRU line", New needs no initialisation
+// pass.
 type Cache struct {
-	cfg    Config
-	lines  []line   // ways*setCnt entries, set-major
-	mru    []uint64 // per-set MRU tag, noMRU when unknown
-	clock  uint64
-	shift  uint // log2(LineBytes)
-	setCnt uint64
-	ways   int
+	cfg     Config
+	tags    []uint64 // one key per way (tag+1; 0 = invalid), set-major
+	last    []uint64 // LRU stamps, index-aligned with tags
+	mru     []uint64 // per-set MRU key, 0 when unknown
+	clock   uint64
+	shift   uint // log2(LineBytes)
+	setMask uint64
+	ways    int
 
 	Accesses uint64
 	Misses   uint64
 }
 
-// New builds a cache from its configuration. It panics unless the set
-// count is a positive power of two.
+// New builds a cache from its configuration. It panics unless LineBytes
+// is a power of two of at least 2 (the key encoding needs one offset bit
+// so tag+1 cannot wrap) and the set count is a positive power of two.
 func New(cfg Config) *Cache {
+	if cfg.LineBytes < 2 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		panic(fmt.Sprintf("cache: LineBytes must be a power of two of at least 2, got %d", cfg.LineBytes))
+	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	var shift uint
-	for s := cfg.LineBytes; s > 1; s >>= 1 {
-		shift++
+	return &Cache{
+		cfg:     cfg,
+		setMask: uint64(nsets - 1),
+		ways:    cfg.Ways,
+		shift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tags:    make([]uint64, nsets*cfg.Ways),
+		last:    make([]uint64, nsets*cfg.Ways),
+		mru:     make([]uint64, nsets),
 	}
-	c := &Cache{
-		cfg:    cfg,
-		setCnt: uint64(nsets),
-		ways:   cfg.Ways,
-		shift:  shift,
-		lines:  make([]line, nsets*cfg.Ways),
-		mru:    make([]uint64, nsets),
-	}
-	for i := range c.mru {
-		c.mru[i] = noMRU
-	}
-	return c
 }
 
 // Config returns the level's configuration.
@@ -77,18 +74,19 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr returns the line-aligned address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift }
 
-// set returns the ways of the set holding tag.
-func (c *Cache) set(tag uint64) []line {
-	base := int(tag&(c.setCnt-1)) * c.ways
-	return c.lines[base : base+c.ways]
+// locate returns the key of the line containing addr and the index of
+// the first way of its set.
+func (c *Cache) locate(addr uint64) (key uint64, si uint64, base int) {
+	tag := addr >> c.shift
+	si = tag & c.setMask
+	return tag + 1, si, int(si) * c.ways
 }
 
 // Lookup probes for the line containing addr without changing state.
 func (c *Cache) Lookup(addr uint64) bool {
-	tag := addr >> c.shift
-	set := c.set(tag)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	key, _, base := c.locate(addr)
+	for _, k := range c.tags[base : base+c.ways] {
+		if k == key {
 			return true
 		}
 	}
@@ -100,46 +98,56 @@ func (c *Cache) Lookup(addr uint64) bool {
 // returns false.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
-	tag := addr >> c.shift
-	si := tag & (c.setCnt - 1)
-	if c.mru[si] == tag {
+	key, si, base := c.locate(addr)
+	if c.mru[si] == key {
 		// The line is already its set's newest; refreshing it would not
 		// change relative LRU order, so skip the scan and the clock tick.
 		return true
 	}
 	c.clock++
-	base := int(si) * c.ways
-	set := c.lines[base : base+c.ways]
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lastUse = c.clock
-			c.mru[si] = tag
+	tags := c.tags[base : base+c.ways]
+	for i, k := range tags {
+		if k == key {
+			c.last[base+i] = c.clock
+			c.mru[si] = key
 			return true
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
-			victim = i
 		}
 	}
 	c.Misses++
-	set[victim] = line{tag: tag, valid: true, lastUse: c.clock}
-	c.mru[si] = tag
+	// Victim: the highest-index invalid way, else the first way holding
+	// the set's minimum stamp.
+	victim := -1
+	for i := len(tags) - 1; i >= 0; i-- {
+		if tags[i] == 0 {
+			victim = i
+			break
+		}
+	}
+	last := c.last[base : base+c.ways]
+	if victim < 0 {
+		victim = 0
+		for i := 1; i < len(last); i++ {
+			if last[i] < last[victim] {
+				victim = i
+			}
+		}
+	}
+	tags[victim], last[victim] = key, c.clock
+	c.mru[si] = key
 	return false
 }
 
 // Invalidate drops the line containing addr if present.
 func (c *Cache) Invalidate(addr uint64) {
-	tag := addr >> c.shift
-	set := c.set(tag)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
+	key, si, base := c.locate(addr)
+	tags := c.tags[base : base+c.ways]
+	for i, k := range tags {
+		if k == key {
+			tags[i] = 0
 		}
 	}
-	if si := tag & (c.setCnt - 1); c.mru[si] == tag {
-		c.mru[si] = noMRU
+	if c.mru[si] == key {
+		c.mru[si] = 0
 	}
 }
 

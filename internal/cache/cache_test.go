@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +89,21 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(Config{SizeBytes: 192, Ways: 1, LineBytes: 64})
+}
+
+// TestBadLineBytesPanics pins that a line size the tag encoding cannot
+// shift by (zero, one byte, or not a power of two) is refused.
+func TestBadLineBytesPanics(t *testing.T) {
+	for _, lb := range []int{0, 1, 3, 48, -64} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "LineBytes") {
+					t.Errorf("LineBytes %d: panic %q, want a LineBytes message", lb, msg)
+				}
+			}()
+			New(Config{SizeBytes: 4096, Ways: 2, LineBytes: lb})
+		}()
+	}
 }
 
 // Property: a W-way single-set cache behaves as an LRU stack — after

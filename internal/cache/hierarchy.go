@@ -1,5 +1,7 @@
 package cache
 
+import "math"
+
 // HierConfig describes the full Table 1 memory hierarchy.
 type HierConfig struct {
 	L1I, L1D, L2, L3 Config
@@ -34,6 +36,10 @@ type Hierarchy struct {
 	L3  *Cache
 
 	inflight map[uint64]int64 // line address -> fill-complete cycle
+	// nextDone is a lower bound on the earliest fill-complete cycle in
+	// inflight (math.MaxInt64 when it is empty): reap walks the map only
+	// once some fill may be due.
+	nextDone int64
 
 	DemandMisses uint64 // L1D misses that allocated a miss-buffer entry
 	MergedMisses uint64 // accesses that piggybacked on an in-flight line
@@ -60,18 +66,28 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 		L1I: New(cfg.L1I), L1D: New(cfg.L1D),
 		L2: New(cfg.L2), L3: New(cfg.L3),
 		inflight: make(map[uint64]int64),
+		nextDone: math.MaxInt64,
 	}
 }
 
 // NewDefault builds the Table 1 hierarchy.
 func NewDefault() *Hierarchy { return NewHierarchy(DefaultHierConfig()) }
 
+// reap retires every miss-buffer entry whose fill completed by now and
+// re-arms the watermark on the earliest one left.
 func (h *Hierarchy) reap(now int64) {
+	if now < h.nextDone {
+		return
+	}
+	next := int64(math.MaxInt64)
 	for a, done := range h.inflight {
 		if done <= now {
 			delete(h.inflight, a)
+		} else {
+			next = min(next, done)
 		}
 	}
+	h.nextDone = next
 }
 
 // missLatency walks L2/L3/memory for a line that missed in an L1 and
@@ -91,14 +107,13 @@ func (h *Hierarchy) missLatency(addr uint64) (int, string) {
 func (h *Hierarchy) Data(now int64, addr uint64) int64 {
 	h.reap(now)
 	la := h.L1D.LineAddr(addr)
-	if done, busy := h.inflight[la]; busy {
-		// The line is already being fetched: merge with it.
-		h.MergedMisses++
-		h.L1D.Access(addr) // counts the access; line will be present by `done`
-		if t := now + int64(h.cfg.L1D.Latency); t > done {
-			return t
+	if len(h.inflight) > 0 {
+		if done, busy := h.inflight[la]; busy {
+			// The line is already being fetched: merge with it.
+			h.MergedMisses++
+			h.L1D.Access(addr) // counts the access; line will be present by `done`
+			return max(now+int64(h.cfg.L1D.Latency), done)
 		}
-		return done
 	}
 	if h.L1D.Access(addr) {
 		return now + int64(h.cfg.L1D.Latency)
@@ -125,6 +140,7 @@ func (h *Hierarchy) Data(now int64, addr uint64) int64 {
 	lat, level := h.missLatency(addr)
 	done := start + int64(lat)
 	h.inflight[la] = done
+	h.nextDone = min(h.nextDone, done)
 	if h.OnMiss != nil {
 		h.OnMiss(Miss{Addr: addr, Level: level, Latency: done - now})
 	}

@@ -126,11 +126,22 @@ type Config struct {
 	debugCheckpoints bool
 }
 
-// check panics on a machine that could never issue: at Width 0 a run
-// spins until its cycle cap.
+// check panics on a machine that could never issue (at Width 0 a run
+// spins until its cycle cap) or whose cache lines are not a power of two
+// of at least 2 bytes (fetch detects an I-cache line change with the L1-I
+// line mask, and cache.New rejects such a level anyway).
 func (c *Config) check() {
 	if c.Width < 1 {
 		panic(fmt.Sprintf("pipeline: Config.Width must be at least 1, got %d", c.Width))
+	}
+	levels := []struct {
+		name string
+		cfg  cache.Config
+	}{{"L1I", c.Hier.L1I}, {"L1D", c.Hier.L1D}, {"L2", c.Hier.L2}, {"L3", c.Hier.L3}}
+	for _, l := range levels {
+		if n := l.cfg.LineBytes; n < 2 || n&(n-1) != 0 {
+			panic(fmt.Sprintf("pipeline: Config.Hier.%s.LineBytes must be a power of two of at least 2, got %d", l.name, n))
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"vanguard/internal/cache"
 	"vanguard/internal/core"
 	"vanguard/internal/ir"
+	"vanguard/internal/isa"
 	"vanguard/internal/mem"
 	"vanguard/internal/profile"
 	"vanguard/internal/sched"
@@ -56,17 +57,12 @@ type ffProgram struct {
 
 // fastForwardPrograms returns one seed's random loop program, raw and
 // decomposed+scheduled (so RESOLVE windows stall too), at a
-// cache-resident stride and at a memory-bound one, each with its memory
-// image.
+// cache-resident stride and at a memory-bound one, plus the window-fill
+// program in both forms, each with its memory image.
 func fastForwardPrograms(t *testing.T, seed int64) map[string]ffProgram {
 	t.Helper()
 	out := map[string]ffProgram{}
-	for _, stride := range []int64{8, 32<<10 + 64} {
-		prog, m := randomStrideLoopProgram(rand.New(rand.NewSource(seed)), stride)
-		name := "resident"
-		if stride > 8 {
-			name = "membound"
-		}
+	build := func(name string, prog *ir.Program, m *mem.Memory) {
 		out[name+"/raw"] = ffProgram{ir.MustLinearize(prog), m}
 		prof := &profile.Profile{ByID: map[int]*profile.Branch{
 			1: {ID: 1, Forward: true, Execs: 10000, Taken: 6000, Correct: 9200},
@@ -74,14 +70,90 @@ func fastForwardPrograms(t *testing.T, seed int64) map[string]ffProgram {
 		trans := prog.Clone()
 		rep, err := core.Transform(trans, prof, core.DefaultOptions())
 		if err != nil {
-			t.Fatalf("seed %d transform: %v", seed, err)
+			t.Fatalf("seed %d %s transform: %v", seed, name, err)
 		}
 		if len(rep.Converted) == 1 {
 			sched.Program(trans, sched.DefaultModel(4))
 			out[name+"/decomposed"] = ffProgram{ir.MustLinearize(trans), m}
 		}
 	}
+	for _, stride := range []int64{8, 32<<10 + 64} {
+		prog, m := randomStrideLoopProgram(rand.New(rand.NewSource(seed)), stride)
+		name := "resident"
+		if stride > 8 {
+			name = "membound"
+		}
+		build(name, prog, m)
+	}
+	prog, m := windowFillProgram(rand.New(rand.NewSource(seed)))
+	build("windowfill", prog, m)
 	return out
+}
+
+// windowFillProgram is the shape the issue stage's cached operand-stall
+// classification must get right, common in perlbench: right after a
+// mispredict flush, while fetch is still refilling the empty buffer, a
+// load that misses to memory feeds the instruction behind it, so the
+// issue head stalls with fewer than six entries behind it, and the BR
+// the loaded value decides enters the six-entry stall window a cycle or
+// more into the stall. The flushes come from the loop's hammock branch,
+// whose condition is random data one memory-bound stride apart (a
+// RESOLVE once decomposed).
+func windowFillProgram(r *rand.Rand) (*ir.Program, *mem.Memory) {
+	const dataBase, stride = int64(1 << 20), int64(32<<10 + 64)
+	f := &ir.Func{Name: "main"}
+	init := f.AddBlock("init")
+	head := f.AddBlock("head")
+	armB := f.AddBlock("B")
+	tailB := f.AddBlock("tailB")
+	armC := f.AddBlock("C")
+	latch := f.AddBlock("latch")
+	done := f.AddBlock("done")
+
+	iters := int64(40 + r.Intn(60))
+	f.Emit(init,
+		ir.Li(isa.R(1), dataBase),
+		ir.Li(isa.R(5), 0), // loop counter
+		ir.Li(isa.R(6), iters),
+	)
+	f.Emit(head,
+		ir.Muli(isa.R(7), isa.R(5), stride),
+		ir.Add(isa.R(7), isa.R(7), isa.R(1)),
+		ir.Ld(isa.R(8), isa.R(7), 0),
+		ir.BrID(isa.R(8), armC, 1),
+	)
+	// Each arm opens with the stall: a missing load, its consumer at the
+	// issue head, three or four fillers (so at width 1 the branch is not
+	// yet fetched when the stall starts), then the branch on the loaded
+	// value.
+	arm := func(blk, id, to int) {
+		f.Emit(blk,
+			ir.Ld(isa.R(12), isa.R(7), 4096),
+			ir.Addi(isa.R(13), isa.R(12), 1), // the stalled head
+		)
+		for i := 0; i < 3+r.Intn(2); i++ {
+			f.Emit(blk, ir.Addi(isa.R(9), isa.R(9), int64(1+i)))
+		}
+		f.Emit(blk, ir.BrID(isa.R(13), to, id))
+	}
+	arm(armB, 3, latch)
+	f.Emit(tailB, ir.Addi(isa.R(10), isa.R(10), 3), ir.Jmp(latch))
+	arm(armC, 4, latch)
+	f.Emit(latch,
+		ir.Addi(isa.R(5), isa.R(5), 1),
+		ir.Cmp(isa.CMPLT, isa.R(4), isa.R(5), isa.R(6)),
+		ir.BrID(isa.R(4), head, 2),
+	)
+	for i, reg := range []isa.Reg{isa.R(9), isa.R(10), isa.R(13)} {
+		f.Emit(done, ir.St(isa.R(1), 512+int64(i)*8, reg))
+	}
+	f.Emit(done, ir.Halt())
+
+	m := mem.New()
+	for i := int64(0); i < iters; i++ {
+		m.MustStore(uint64(dataBase+i*stride), int64(r.Intn(2)))
+	}
+	return &ir.Program{Funcs: []*ir.Func{f}}, m
 }
 
 // eventLog is a trace sink that keeps every event.
@@ -175,5 +247,51 @@ func TestFastForwardSkipsIdleCycles(t *testing.T) {
 	}
 	if st.OperandStallCycles == 0 {
 		t.Fatal("no operand stalls; the program is not memory-bound")
+	}
+}
+
+// TestWindowFillShape pins that windowFillProgram really has the shape it
+// exists for: stepping every cycle at width 1, some issue head's operand
+// stall is first classified as a plain operand wait (no BR/RESOLVE in a
+// window not yet full) and later, behind the same head, charged to the
+// branch that entered the window.
+func TestWindowFillShape(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		for _, form := range []string{"windowfill/raw", "windowfill/decomposed"} {
+			p, ok := fastForwardPrograms(t, seed)[form]
+			if !ok {
+				t.Fatalf("seed %d: no %s program", seed, form)
+			}
+			cfg := DefaultConfig(1)
+			cfg.stepEveryCycle = true
+			mach := New(p.im, p.m.Clone(), cfg)
+			headSeq, sawOperand, shaped := int64(-1), false, false
+			for !shaped {
+				stalledBefore := mach.stats.OperandStallCycles
+				done, err := mach.stepCycle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					break
+				}
+				if mach.stats.OperandStallCycles == stalledBefore || mach.fbLen() == 0 {
+					headSeq, sawOperand = -1, false
+					continue
+				}
+				if seq := mach.fbAt(0).seq; seq != headSeq {
+					headSeq, sawOperand = seq, false
+				}
+				switch mach.stallCause {
+				case stallOperand:
+					sawOperand = true
+				case stallBranch, stallResolve:
+					shaped = sawOperand
+				}
+			}
+			if !shaped {
+				t.Errorf("seed %d %s: no head stall saw a BR/RESOLVE enter its window", seed, form)
+			}
+		}
 	}
 }

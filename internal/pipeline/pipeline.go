@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"vanguard/internal/attr"
 	"vanguard/internal/bpred"
@@ -19,15 +20,17 @@ import (
 
 // fetchEntry is the hot slot of the fetch buffer: only what every
 // instruction needs on the fetch→issue path. It deliberately carries no
-// isa.Instr and no derivable timing: the instruction word is re-read from
-// the immutable image by pc and the earliest issue cycle is
+// isa.Instr and no derivable timing: issue and resolve read the
+// instruction's predecoded record through pd (so they never re-index the
+// per-PC table) and the earliest issue cycle is
 // fetchedAt + FrontEndDepth - 1. Speculation metadata lives in the
 // parallel cold array (fetchSpec), so the per-instruction queue copies
-// move 24 bytes instead of ~112.
+// move 32 bytes instead of ~112.
 type fetchEntry struct {
 	seq       int64
 	pc        int
-	fetchedAt int64 // cycle the entry was fetched (fetch-to-issue telemetry)
+	fetchedAt int64       // cycle the entry was fetched (fetch-to-issue telemetry)
+	pd        *predecoded // the instruction's record in the shared Code
 }
 
 // fetchSpec is the cold slot paired with each fetchEntry: speculation
@@ -49,11 +52,12 @@ type fetchSpec struct {
 
 // ---- predecode ----
 
-// predecoded caches the per-PC instruction metadata the issue stage needs
-// every cycle (register uses/def, functional unit, latency, kind flags),
-// so the hot loop indexes one flat array instead of re-deriving it through
-// isa switches per issued instruction. Built once per image by Compile and
-// shared read-only by every machine over that image.
+// predecoded is the one per-PC record fetch, issue and resolve read: the
+// instruction metadata the hot loop needs (register uses/def, functional
+// unit, latency, kind flags, control target, static branch), so it never
+// re-derives it through isa switches or touches the image's isa.Instr,
+// which only trace events and switch dispatch still read. Built once per
+// image by Compile and shared read-only by every machine over that image.
 type predecoded struct {
 	// kernel is the instruction's compiled semantics (exec.Compile): one
 	// direct-through-pointer call replaces exec.Step's megamorphic opcode
@@ -72,8 +76,9 @@ type predecoded struct {
 	op      isa.Op
 	fu      isa.FU
 	flags   uint8
-	latency int32
+	latency uint8
 	branch  int32 // static BranchID (0 = unassigned)
+	target  int32 // control-flow target PC (JMP, CALL, BR, PREDICT)
 }
 
 // predecoded.flags bits.
@@ -81,6 +86,7 @@ const (
 	pdLoad  uint8 = 1 << iota // LD or LDS
 	pdStore                   // ST
 	pdSpec                    // BR, RESOLVE or RET: issues a speculation point
+	pdSteer                   // JMP, CALL, RET, BR, PREDICT, RESOLVE or HALT: fetch acts on it
 )
 
 // predecode builds the per-PC table, compiling each instruction's kernel
@@ -99,16 +105,20 @@ func predecode(instrs []isa.Instr) ([]predecoded, error) {
 		p.def = ins.Def()
 		p.op = ins.Op
 		p.fu = ins.Op.Unit()
-		p.latency = int32(ins.Op.Latency())
+		p.latency = uint8(ins.Op.Latency())
 		p.branch = int32(ins.BranchID)
+		p.target = int32(ins.Target)
 		if ins.IsLoad() {
 			p.flags |= pdLoad
 		}
 		if ins.IsStore() {
 			p.flags |= pdStore
 		}
-		if op := ins.Op; op == isa.BR || op == isa.RESOLVE || op == isa.RET {
-			p.flags |= pdSpec
+		switch ins.Op {
+		case isa.BR, isa.RESOLVE, isa.RET:
+			p.flags |= pdSpec | pdSteer
+		case isa.JMP, isa.CALL, isa.PREDICT, isa.HALT:
+			p.flags |= pdSteer
 		}
 		k, err := exec.Compile(ins, pc)
 		if err != nil && firstErr == nil {
@@ -181,7 +191,7 @@ type regUndo struct {
 type debugSnap struct {
 	regs     [isa.NumRegs]int64
 	poison   [isa.NumRegs]bool
-	regReady [isa.NumRegs]int64
+	regReady scoreboard
 	halted   bool
 }
 
@@ -273,7 +283,7 @@ type Machine struct {
 	DBB  *DBB
 
 	st       *exec.State
-	regReady [isa.NumRegs]int64
+	regReady scoreboard
 	pre      []predecoded
 	feDelay  int64 // FrontEndDepth-1: fetched at c, issues no earlier than c+feDelay
 
@@ -284,9 +294,12 @@ type Machine struct {
 	useKernels bool
 	preErr     error
 
+	fuLimit [isa.NumFUClasses]int // issue slots per functional-unit class
+
 	fetchPC       int
 	fetchStall    int64
 	lastFetchLine uint64
+	fetchLineMask uint64 // clears an address's L1-I line offset
 	fetchHalted   bool
 	// The fetch buffer is a power-of-two ring: fbHead indexes the oldest
 	// entry, fbCnt is the occupancy (bounded by FetchBufEntries), and
@@ -389,6 +402,13 @@ type Machine struct {
 	stallCause  uint8
 	stallRun    int64
 	stallBranch *BranchStats
+	// headStall caches the current issue head's operand-stall
+	// classification (see operandStall).
+	headStall headStall
+	// fetchToIssue counts issued instructions by fetch-to-issue latency
+	// (index) below its length; finishStats folds it into
+	// Stats.FetchToIssue, whose totals do not depend on observation order.
+	fetchToIssue [256]int64
 	// repairStart is the cycle of the flush currently being repaired, or
 	// -1 when issue has caught up again (feeds RepairPenalty).
 	repairStart int64
@@ -434,6 +454,7 @@ func NewFromCode(code *Code, m *mem.Memory, cfg Config) *Machine {
 		feDelay:       int64(cfg.FrontEndDepth) - 1,
 		fetchPC:       im.Entry,
 		lastFetchLine: math.MaxUint64,
+		fetchLineMask: ^uint64(cfg.Hier.L1I.LineBytes - 1),
 		fb:            make([]fetchEntry, ringSize(cfg.FetchBufEntries)),
 		fbSpec:        make([]fetchSpec, ringSize(cfg.FetchBufEntries)),
 		fbMask:        ringSize(cfg.FetchBufEntries) - 1,
@@ -443,9 +464,13 @@ func NewFromCode(code *Code, m *mem.Memory, cfg Config) *Machine {
 		haltSeq:       -1,
 		pendFaultSeq:  -1,
 		repairStart:   -1,
+		headStall:     headStall{seq: -1},
 		useKernels:    cfg.Dispatch == exec.DispatchKernels,
 	}
 	mach.st = exec.NewState(sbView{mach}, im.Entry)
+	mach.fuLimit[isa.FUInt] = cfg.IntUnits
+	mach.fuLimit[isa.FUMem] = cfg.MemUnits
+	mach.fuLimit[isa.FUFP] = cfg.FPUnits
 	mach.nextException = cfg.ExceptionEveryN
 	mach.maxCycles = cfg.MaxCycles
 	if mach.maxCycles <= 0 {
@@ -539,17 +564,23 @@ func (m *Machine) Memory() *mem.Memory { return m.mem }
 // and fetch. It returns done=true when the run is over (HALT drained or an
 // instruction cap hit) and a non-nil error on an architectural fault.
 func (m *Machine) stepCycle() (done bool, err error) {
-	m.resolve()
-	if err := m.commitFaultCheck(); err != nil {
-		return true, err
+	if m.infLen() > 0 {
+		m.resolve()
 	}
-	m.drainStores()
+	if m.pendFaultSeq >= 0 {
+		if err := m.commitFaultCheck(); err != nil {
+			return true, err
+		}
+	}
+	if len(m.sb) > 0 {
+		m.drainStores()
+	}
 	if m.cfg.ExceptionEveryN > 0 && m.infLen() == 0 &&
 		m.stats.Issued-m.stats.WrongPathIssued >= m.nextException {
 		m.takeException()
 		m.nextException += m.cfg.ExceptionEveryN
 	}
-	if m.done() {
+	if (m.haltSeq >= 0 || m.cfg.MaxInstrs > 0) && m.done() {
 		return true, nil
 	}
 	m.issuePhase()
@@ -717,8 +748,8 @@ func (m *Machine) attrNoteFrontEnd() {
 // stall-counter taxonomy), else the producer of the first missing operand
 // — split out per load PC when the producer is an in-flight load.
 func (m *Machine) attrNoteOperand(pd *predecoded) {
-	for k := 0; k < m.fbLen() && k < 6; k++ {
-		kpd := &m.pre[m.fbAt(k).pc]
+	for k := 0; k < m.fbLen() && k < stallWindow; k++ {
+		kpd := m.fbAt(k).pd
 		if kpd.op == isa.RESOLVE {
 			m.attrCause, m.attrIdx = attr.ResolveWindow, int(kpd.branch)
 			return
@@ -729,7 +760,7 @@ func (m *Machine) attrNoteOperand(pd *predecoded) {
 		}
 	}
 	for _, r := range pd.uses {
-		if !m.opReady(r) {
+		if m.regReady[r] > m.now {
 			if wpc := m.regWriter[r]; wpc >= 0 && m.pre[wpc].flags&pdLoad != 0 {
 				m.attrCause, m.attrIdx = attr.LoadWait, int(wpc)
 				return
@@ -782,6 +813,10 @@ func (m *Machine) Run() (*Stats, error) {
 // open stall run.
 func (m *Machine) finishStats() {
 	m.endStallRun()
+	for d, n := range m.fetchToIssue {
+		m.stats.FetchToIssue.ObserveN(int64(d), n)
+	}
+	clear(m.fetchToIssue[:])
 	m.stats.Cycles = m.now
 	m.stats.Committed = m.stats.Issued - m.stats.WrongPathIssued
 	m.stats.L1DMissRate = m.Hier.L1D.MissRate()
@@ -826,16 +861,20 @@ func (m *Machine) infLen() int { return len(m.inflight) - m.infHead }
 
 func (m *Machine) infFront() *specPoint { return &m.inflight[m.infHead] }
 
-// infPush appends at the tail, compacting consumed head space only when
-// the backing storage is full (occupancy is bounded by the issue width,
-// since every speculation point resolves the cycle after it issues).
-func (m *Machine) infPush(sp specPoint) {
+// infPush claims a slot at the tail and returns it, compacting consumed
+// head space only when the backing storage is full (occupancy is bounded
+// by the issue width, since every speculation point resolves the cycle
+// after it issues). The slot holds stale data: the caller assigns every
+// field, building the speculation point in place.
+func (m *Machine) infPush() *specPoint {
 	if len(m.inflight) == cap(m.inflight) && m.infHead > 0 {
 		n := copy(m.inflight, m.inflight[m.infHead:])
 		m.inflight = m.inflight[:n]
 		m.infHead = 0
 	}
-	m.inflight = append(m.inflight, sp)
+	m.inflight = slices.Grow(m.inflight, 1)
+	m.inflight = m.inflight[:len(m.inflight)+1]
+	return &m.inflight[len(m.inflight)-1]
 }
 
 func (m *Machine) infPop() {
@@ -909,13 +948,13 @@ func (m *Machine) resolve() {
 		sp := m.infFront()
 		m.infPop()
 		fe := &sp.fe
-		ins := &m.im.Instrs[fe.pc]
+		pd := fe.pd
 		addr := m.im.PCAddr(fe.pc)
 
-		switch ins.Op {
+		switch pd.op {
 		case isa.BR:
 			m.stats.CondBranches++
-			bs := m.branchStats(ins.BranchID)
+			bs := m.branchStats(int(pd.branch))
 			bs.Execs++
 			if sp.mispredict {
 				m.stats.BrMispredicts++
@@ -925,14 +964,14 @@ func (m *Machine) resolve() {
 			}
 			m.pred.Update(addr, sp.actualTaken, sp.spec.meta)
 			if m.probe != nil {
-				m.probe.ObserveResolve(ins.BranchID, sp.actualTaken, sp.mispredict, &sp.spec.meta)
+				m.probe.ObserveResolve(int(pd.branch), sp.actualTaken, sp.mispredict, &sp.spec.meta)
 			}
 			if sp.actualTaken {
-				m.btb.Insert(addr, ins.Target)
+				m.btb.Insert(addr, int(pd.target))
 			}
 		case isa.RESOLVE:
 			m.stats.Resolves++
-			bs := m.branchStats(ins.BranchID)
+			bs := m.branchStats(int(pd.branch))
 			bs.Execs++
 			if e, ok := m.DBB.Read(sp.spec.dbbIdx); ok {
 				if sp.mispredict {
@@ -943,13 +982,13 @@ func (m *Machine) resolve() {
 				}
 				m.pred.Update(e.pc, sp.actualTaken, e.meta)
 				if m.probe != nil {
-					m.probe.ObserveResolve(ins.BranchID, sp.actualTaken, sp.mispredict, &e.meta)
+					m.probe.ObserveResolve(int(pd.branch), sp.actualTaken, sp.mispredict, &e.meta)
 				}
 			} else if m.probe != nil {
 				// The DBB entry was recycled or invalidated: the update is
 				// suppressed, but the resolution still counts toward the
 				// outcome stream and the conservation books.
-				m.probe.ObserveResolve(ins.BranchID, sp.actualTaken, sp.mispredict, nil)
+				m.probe.ObserveResolve(int(pd.branch), sp.actualTaken, sp.mispredict, nil)
 			}
 			if sp.mispredict {
 				m.stats.ResMispredicts++
@@ -963,8 +1002,9 @@ func (m *Machine) resolve() {
 
 		if sp.mispredict {
 			if m.Sink != nil {
+				ins := &m.im.Instrs[fe.pc]
 				cause := trace.CauseBranch
-				switch ins.Op {
+				switch pd.op {
 				case isa.RESOLVE:
 					cause = trace.CauseResolve
 					m.Sink.Emit(trace.Event{Kind: trace.KindResolveFire, Cause: cause, Cycle: m.now,
@@ -984,7 +1024,7 @@ func (m *Machine) resolve() {
 		}
 		if m.Sink != nil {
 			m.Sink.Emit(trace.Event{Kind: trace.KindCommit, Cycle: m.now,
-				Seq: fe.seq, PC: fe.pc, Ins: *ins})
+				Seq: fe.seq, PC: fe.pc, Ins: m.im.Instrs[fe.pc]})
 		}
 	}
 }
@@ -992,9 +1032,10 @@ func (m *Machine) resolve() {
 // flush squashes everything younger than sp and redirects fetch.
 func (m *Machine) flush(sp *specPoint) {
 	wrongPath := m.stats.Issued - sp.issuedSnapshot
+	pd := sp.fe.pd
 	if m.Sink != nil {
 		cause := trace.CauseReturn
-		switch m.im.Instrs[sp.fe.pc].Op {
+		switch pd.op {
 		case isa.BR:
 			cause = trace.CauseBranch
 		case isa.RESOLVE:
@@ -1011,11 +1052,11 @@ func (m *Machine) flush(sp *specPoint) {
 		// wrong-path slots it already wasted from base work to the
 		// mispredicted branch.
 		cause, id := attr.RetMispredict, 0
-		switch m.im.Instrs[sp.fe.pc].Op {
+		switch pd.op {
 		case isa.BR:
-			cause, id = attr.BrMispredict, m.im.Instrs[sp.fe.pc].BranchID
+			cause, id = attr.BrMispredict, int(pd.branch)
 		case isa.RESOLVE:
-			cause, id = attr.ResMispredict, m.im.Instrs[sp.fe.pc].BranchID
+			cause, id = attr.ResMispredict, int(pd.branch)
 		}
 		m.attrRepairCause, m.attrRepairIdx = cause, id
 		m.attr.MoveWrongPath(cause, id, wrongPath)
@@ -1080,12 +1121,10 @@ func (m *Machine) verifyCheckpoint(sp *specPoint) {
 	clear(m.debugSnaps) // every other pending snapshot was squashed
 }
 
-// commitFaultCheck surfaces a deferred fault once its instruction is no
-// longer covered by any older speculation point (i.e. it committed).
+// commitFaultCheck surfaces the pending deferred fault once its
+// instruction is no longer covered by any older speculation point (i.e. it
+// committed).
 func (m *Machine) commitFaultCheck() error {
-	if m.pendFaultSeq < 0 {
-		return nil
-	}
 	if m.infLen() == 0 || m.infFront().fe.seq > m.pendFaultSeq {
 		if m.Sink != nil {
 			var addr uint64
@@ -1176,19 +1215,14 @@ func (m *Machine) endStallRun() {
 	m.stallRun, m.stallCause = 0, stallNone
 }
 
-func (m *Machine) opReady(r isa.Reg) bool {
-	return r == isa.NoReg || m.regReady[r] <= m.now
-}
+// scoreboard holds each register's ready cycle, indexed by any isa.Reg:
+// NoReg's slot is never written, so an absent operand always reads ready
+// and the operand check needs neither a NoReg test nor a bounds check.
+type scoreboard [1 << 8]int64
 
-func (m *Machine) fuLimit(fu isa.FU) int {
-	switch fu {
-	case isa.FUInt:
-		return m.cfg.IntUnits
-	case isa.FUMem:
-		return m.cfg.MemUnits
-	default:
-		return m.cfg.FPUnits
-	}
+// operandsReady reports whether all of pd's source operands are ready.
+func (m *Machine) operandsReady(pd *predecoded) bool {
+	return max(m.regReady[pd.uses[0]], m.regReady[pd.uses[1]], m.regReady[pd.uses[2]]) <= m.now
 }
 
 // operandWake returns the earliest cycle at which one of pd's missing
@@ -1197,11 +1231,79 @@ func (m *Machine) fuLimit(fu isa.FU) int {
 func (m *Machine) operandWake(pd *predecoded) int64 {
 	wake := int64(math.MaxInt64)
 	for _, r := range pd.uses {
-		if r != isa.NoReg && m.regReady[r] > m.now {
+		if m.regReady[r] > m.now {
 			wake = min(wake, m.regReady[r])
 		}
 	}
 	return wake
+}
+
+// stallWindow is how many fetch-buffer entries, from the head, an
+// operand stall scans for the BR/RESOLVE it is delaying.
+const stallWindow = 6
+
+// headStall is the classification of the issue head's operand stall:
+// the head's seq, the cycle its operands wake, the stall cause and the
+// branch charged for it. It holds while the same entry is at the head and
+// the clock is before wake: nothing issues past a stalled head, so its
+// operands' ready times cannot move, and a flush or exception replaces the
+// head with a newer seq. The cached cause is only kept when the scan that
+// found it cannot change while the head is unchanged: it found a
+// BR/RESOLVE (entries up to it are fixed), or it covered the whole window.
+// seq is -1 when nothing is cached.
+type headStall struct {
+	seq, wake int64
+	cause     uint8
+	branch    *BranchStats
+}
+
+func (h *headStall) holds(seq, now int64) bool { return seq == h.seq && now < h.wake }
+
+// operandStall charges one head-of-line operand-stall cycle and returns
+// the cycle the head's operands wake. The stall is attributed to the
+// conditional control point it is delaying: the first BR/RESOLVE in the
+// blocked window (the stalled instruction is usually its condition slice).
+// The classification is re-derived only when the cached one does not hold
+// (and never cached under stepEveryCycle, so the stepping oracle checks
+// it).
+func (m *Machine) operandStall(fe *fetchEntry) int64 {
+	hs := &m.headStall
+	if !hs.holds(fe.seq, m.now) {
+		n := min(m.fbLen(), stallWindow)
+		hs.cause, hs.branch = stallOperand, nil
+		settled := n == stallWindow
+		for k := 0; k < n; k++ {
+			kpd := m.fbAt(k).pd
+			if kpd.op == isa.RESOLVE {
+				hs.cause = stallResolve
+			} else if kpd.op == isa.BR {
+				hs.cause = stallBranch
+			} else {
+				continue
+			}
+			hs.branch = m.branchStats(int(kpd.branch))
+			settled = true
+			break
+		}
+		hs.wake = m.operandWake(fe.pd)
+		hs.seq = -1
+		if settled && !m.cfg.stepEveryCycle {
+			hs.seq = fe.seq
+		}
+	}
+	m.stats.OperandStallCycles++
+	switch hs.cause {
+	case stallResolve:
+		m.stats.ResolveStallCycles++
+	case stallBranch:
+		m.stats.BranchStallCycles++
+	}
+	if hs.branch != nil {
+		m.stallBranch = hs.branch
+		hs.branch.StallCycles++
+	}
+	m.noteStall(hs.cause)
+	return hs.wake
 }
 
 // issue runs the issue stage. On a zero-issue cycle that is not a
@@ -1224,33 +1326,10 @@ func (m *Machine) issue() (wake int64) {
 			}
 			return wake
 		}
-		pd := &m.pre[fe.pc]
-		if !m.opReady(pd.uses[0]) || !m.opReady(pd.uses[1]) || !m.opReady(pd.uses[2]) {
+		pd := fe.pd
+		if m.headStall.holds(fe.seq, m.now) || !m.operandsReady(pd) {
 			if issued == 0 {
-				m.stats.OperandStallCycles++
-				// Attribute the head-of-line stall to the conditional
-				// control point it is delaying: the first BR/RESOLVE in
-				// the blocked window (the stalled instruction is usually
-				// its condition slice).
-				cause := uint8(stallOperand)
-				for k := 0; k < m.fbLen() && k < 6; k++ {
-					kpc := m.fbAt(k).pc
-					kpd := &m.pre[kpc]
-					if kpd.op == isa.RESOLVE {
-						m.stats.ResolveStallCycles++
-						cause = stallResolve
-					} else if kpd.op == isa.BR {
-						m.stats.BranchStallCycles++
-						cause = stallBranch
-					} else {
-						continue
-					}
-					m.stallBranch = m.branchStats(m.im.Instrs[kpc].BranchID)
-					m.stallBranch.StallCycles++
-					break
-				}
-				m.noteStall(cause)
-				wake = m.operandWake(pd)
+				wake = m.operandStall(fe)
 			}
 			if m.attr != nil {
 				m.attrNoteOperand(pd)
@@ -1258,7 +1337,7 @@ func (m *Machine) issue() (wake int64) {
 			return wake
 		}
 		fu := pd.fu
-		if fuUsed[fu] >= m.fuLimit(fu) {
+		if fuUsed[fu] >= m.fuLimit[fu] {
 			if issued == 0 {
 				m.stats.FUStallCycles++
 				m.noteStall(stallFU)
@@ -1296,7 +1375,11 @@ func (m *Machine) issue() (wake int64) {
 
 func (m *Machine) issueOne(fe *fetchEntry, fs *fetchSpec, pd *predecoded) {
 	m.stats.Issued++
-	m.stats.FetchToIssue.Observe(m.now - fe.fetchedAt)
+	if d := m.now - fe.fetchedAt; uint64(d) < uint64(len(m.fetchToIssue)) {
+		m.fetchToIssue[d]++
+	} else {
+		m.stats.FetchToIssue.Observe(d)
+	}
 	if m.stallRun > 0 {
 		m.endStallRun()
 	}
@@ -1387,13 +1470,11 @@ func (m *Machine) issueOne(fe *fetchEntry, fs *fetchSpec, pd *predecoded) {
 	}
 
 	if isSpec {
-		sp := specPoint{
-			fe:        *fe,
-			spec:      *fs,
-			resolveAt: m.now + 1,
-			halted:    wasHalted,
-			jMark:     jmark,
-		}
+		sp := m.infPush()
+		sp.fe, sp.spec = *fe, *fs
+		sp.resolveAt = m.now + 1
+		sp.halted, sp.jMark = wasHalted, jmark
+		sp.actualTaken, sp.mispredict = false, false
 		switch pd.op {
 		case isa.BR:
 			sp.actualTaken = res.CondVal
@@ -1408,7 +1489,6 @@ func (m *Machine) issueOne(fe *fetchEntry, fs *fetchSpec, pd *predecoded) {
 			sp.redirectPC = res.NextPC
 		}
 		sp.issuedSnapshot = m.stats.Issued
-		m.infPush(sp)
 	}
 
 	if pd.op == isa.HALT {
@@ -1483,13 +1563,13 @@ func (m *Machine) fetch() {
 	}
 	fetched := 0
 	for fetched < m.cfg.Width && m.fbLen() < m.cfg.FetchBufEntries {
-		if m.fetchPC < 0 || m.fetchPC >= len(m.im.Instrs) {
+		if uint(m.fetchPC) >= uint(len(m.pre)) {
 			// Wrong-path fetch ran off the image; wait for the flush.
 			m.fetchHalted = true
 			return
 		}
 		addr := m.im.PCAddr(m.fetchPC)
-		if line := addr &^ 63; line != m.lastFetchLine {
+		if line := addr & m.fetchLineMask; line != m.lastFetchLine {
 			extra := m.Hier.Inst(addr)
 			m.lastFetchLine = line
 			if extra > 0 {
@@ -1505,29 +1585,35 @@ func (m *Machine) fetch() {
 			m.underMispred = false
 		}
 
-		ins := &m.im.Instrs[m.fetchPC]
+		pd := &m.pre[m.fetchPC]
 		fe := fetchEntry{
 			seq:       m.seq,
 			pc:        m.fetchPC,
 			fetchedAt: m.now,
+			pd:        pd,
 		}
 		m.seq++
 		fetched++
 		m.stats.Fetched++
 		if m.Sink != nil {
 			m.Sink.Emit(trace.Event{Kind: trace.KindFetch, Cycle: m.now,
-				Seq: fe.seq, PC: fe.pc, Ins: *ins})
+				Seq: fe.seq, PC: fe.pc, Ins: m.im.Instrs[fe.pc]})
 		}
 
-		switch m.pre[m.fetchPC].op {
+		if pd.flags&pdSteer == 0 {
+			m.fbPush(fe)
+			m.fetchPC++
+			continue
+		}
+		switch pd.op { // exactly the pdSteer ops
 		case isa.JMP:
 			m.fbPush(fe)
-			m.fetchPC = ins.Target
+			m.fetchPC = int(pd.target)
 			return // taken redirect ends the fetch group
 		case isa.CALL:
 			m.ras.Push(m.fetchPC + 1)
 			m.fbPush(fe)
-			m.fetchPC = ins.Target
+			m.fetchPC = int(pd.target)
 			return
 		case isa.RET:
 			rasCkpt := m.ras.Checkpoint()
@@ -1556,7 +1642,7 @@ func (m *Machine) fetch() {
 			fs.predTaken, fs.meta = taken, meta
 			*m.fbPush(fe) = fs
 			if taken {
-				m.fetchPC = ins.Target
+				m.fetchPC = int(pd.target)
 				return
 			}
 			m.fetchPC++
@@ -1580,10 +1666,10 @@ func (m *Machine) fetch() {
 			m.stats.DBBOccupancy.Observe(int64(m.dbbOcc))
 			if m.Sink != nil {
 				m.Sink.Emit(trace.Event{Kind: trace.KindDBBPush, Cycle: m.now,
-					Seq: fe.seq, PC: fe.pc, Ins: *ins, Val: int64(m.dbbOcc)})
+					Seq: fe.seq, PC: fe.pc, Ins: m.im.Instrs[fe.pc], Val: int64(m.dbbOcc)})
 			}
 			if taken {
-				m.fetchPC = ins.Target
+				m.fetchPC = int(pd.target)
 				return
 			}
 			m.fetchPC++
@@ -1602,16 +1688,13 @@ func (m *Machine) fetch() {
 			m.stats.DBBOccupancy.Observe(int64(m.dbbOcc))
 			if m.Sink != nil {
 				m.Sink.Emit(trace.Event{Kind: trace.KindDBBPop, Cycle: m.now,
-					Seq: fe.seq, PC: fe.pc, Ins: *ins, Val: int64(m.dbbOcc)})
+					Seq: fe.seq, PC: fe.pc, Ins: m.im.Instrs[fe.pc], Val: int64(m.dbbOcc)})
 			}
 			m.fetchPC++
 		case isa.HALT:
 			m.fbPush(fe)
 			m.fetchHalted = true
 			return
-		default:
-			m.fbPush(fe)
-			m.fetchPC++
 		}
 	}
 }

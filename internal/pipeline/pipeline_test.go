@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vanguard/internal/bpred"
+	"vanguard/internal/cache"
 	"vanguard/internal/interp"
 	"vanguard/internal/ir"
 	"vanguard/internal/isa"
@@ -485,6 +486,65 @@ func TestZeroWidthRejected(t *testing.T) {
 				}()
 				build(DefaultConfig(w))
 			}()
+		}
+	}
+}
+
+// TestBadLineBytesRejected pins that a cache line size fetch cannot mask
+// (zero, one byte, or not a power of two) is refused at construction, at
+// every level.
+func TestBadLineBytesRejected(t *testing.T) {
+	im := ir.MustLinearize(straightLine(4))
+	levels := map[string]func(*Config) *cache.Config{
+		"L1I": func(c *Config) *cache.Config { return &c.Hier.L1I },
+		"L1D": func(c *Config) *cache.Config { return &c.Hier.L1D },
+		"L2":  func(c *Config) *cache.Config { return &c.Hier.L2 },
+		"L3":  func(c *Config) *cache.Config { return &c.Hier.L3 },
+	}
+	for name, level := range levels {
+		for _, lb := range []int{0, 1, 48, -64} {
+			func() {
+				defer func() {
+					r := recover()
+					if msg, _ := r.(string); !strings.Contains(msg, name+".LineBytes") {
+						t.Errorf("%s LineBytes %d: panic %v, want a LineBytes message", name, lb, r)
+					}
+				}()
+				cfg := cfg4()
+				level(&cfg).LineBytes = lb
+				New(im, mem.New(), cfg)
+			}()
+		}
+	}
+}
+
+// TestFetchProbesOncePerL1ILine runs a straight-line program spanning
+// exactly K I-cache lines at several L1-I line sizes: fetch must probe the
+// I-cache once per line of the configured size, so a cold run takes
+// exactly K misses.
+func TestFetchProbesOncePerL1ILine(t *testing.T) {
+	const lines = 12
+	if ir.CodeBase%128 != 0 {
+		t.Fatalf("CodeBase %#x is not 128-byte aligned", ir.CodeBase)
+	}
+	for _, lb := range []int{32, 64, 128} {
+		f := &ir.Func{Name: "main"}
+		b := f.AddBlock("b")
+		n := lines * lb / isa.InstrBytes
+		for i := 0; i < n-1; i++ {
+			f.Emit(b, ir.Addi(isa.R(1+i%8), isa.R(1+i%8), 1))
+		}
+		f.Emit(b, ir.Halt())
+		p := &ir.Program{Funcs: []*ir.Func{f}}
+		if got := len(ir.MustLinearize(p).Instrs); got != n {
+			t.Fatalf("%dB lines: image has %d instructions, want %d", lb, got, n)
+		}
+		cfg := cfg4()
+		cfg.Hier.L1I = cache.Config{SizeBytes: 32 << 10, Ways: 4, LineBytes: lb, Latency: 4}
+		mach, st, _ := run(t, p, cfg)
+		if st.ICacheMisses != lines || mach.Hier.L1I.Misses != lines || mach.Hier.L1I.Accesses != lines {
+			t.Errorf("%dB lines: %d fetch misses, L1-I %d accesses / %d misses; want %d of each",
+				lb, st.ICacheMisses, mach.Hier.L1I.Accesses, mach.Hier.L1I.Misses, lines)
 		}
 	}
 }

@@ -44,16 +44,23 @@ func BucketBounds(i int) (lo, hi int64) {
 }
 
 // Observe records one sample.
-func (h *Hist) Observe(v int64) {
+func (h *Hist) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of v at once, exactly as n calls to
+// Observe(v) would (n <= 0 records nothing).
+func (h *Hist) ObserveN(v, n int64) {
+	if n <= 0 {
+		return
+	}
 	if h.Count == 0 || v < h.MinV {
 		h.MinV = v
 	}
 	if h.Count == 0 || v > h.MaxV {
 		h.MaxV = v
 	}
-	h.Count++
-	h.Sum += v
-	h.Buckets[bucketOf(v)]++
+	h.Count += n
+	h.Sum += v * n
+	h.Buckets[bucketOf(v)] += n
 }
 
 // Merge folds o into h.

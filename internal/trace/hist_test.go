@@ -96,6 +96,34 @@ func TestHistObserveAndQuantile(t *testing.T) {
 	}
 }
 
+// TestHistObserveN pins ObserveN(v, n) to n calls of Observe(v): on an
+// empty and a non-empty histogram, for zero, negative and positive
+// values, and for n = 0 (no change at all).
+func TestHistObserveN(t *testing.T) {
+	starts := map[string][]int64{
+		"empty":     nil,
+		"non-empty": {5, -3, 40, 1},
+	}
+	for name, seed := range starts {
+		for _, v := range []int64{0, -7, 1, 3, 1000, math.MinInt64 / 4} {
+			for _, n := range []int64{0, 1, 2, 17} {
+				var bulk, each Hist
+				for _, s := range seed {
+					bulk.Observe(s)
+					each.Observe(s)
+				}
+				bulk.ObserveN(v, n)
+				for i := int64(0); i < n; i++ {
+					each.Observe(v)
+				}
+				if bulk != each {
+					t.Errorf("%s: ObserveN(%d, %d) = %+v, want %+v", name, v, n, bulk, each)
+				}
+			}
+		}
+	}
+}
+
 func TestHistMerge(t *testing.T) {
 	var a, b Hist
 	for v := int64(0); v < 100; v++ {
