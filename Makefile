@@ -29,16 +29,16 @@ vet:
 
 # The whole suite under the race detector and uncached, so every
 # invariant test (attribution and predictor-probe conservation, shared-Code
-# and dispatch differentials, sweep-recorder spans, pipeview lifecycles,
-# observer-off byte-identity) runs on every check.
+# and kernel-vs-exec.Step differentials, sweep-recorder spans, pipeview
+# lifecycles, observer-off byte-identity) runs on every check.
 race:
 	$(GO) test -race -count=1 ./...
 
-# Every simulator and cache-layer benchmark, run once: a benchmark broken
-# by an API change fails the gate here instead of surfacing only in
-# `make bench`.
+# Every simulator, step-kernel, cache-layer and scheduler microbenchmark,
+# run once: a benchmark broken by an API change fails the gate here
+# instead of surfacing only in `make bench`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Sim|StepCycle|CacheAccess|HierarchyData' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Sim|Step(Cycle|Switch|Kernel|Fused)|CacheAccess|HierarchyData|SchedProgram' -benchtime 1x ./...
 
 # The benchmark module (perfbench/) is a module of its own, so the root
 # `go build ./...` never compiles it; vet and test it here so an API it

@@ -19,7 +19,7 @@ import (
 func main() { cli.Main("ablate", run) }
 
 func run(args []string, stdout, stderr io.Writer) (err error) {
-	c := cli.New("ablate", stdout, stderr, cli.EngineFlags|cli.DispatchFlags|cli.MonitorFlags|cli.RecorderFlags)
+	c := cli.New("ablate", stdout, stderr, cli.EngineFlags|cli.MonitorFlags|cli.RecorderFlags)
 	c.Bpred("probe the predictor on every simulation and print the ablation benchmarks' table-level studies",
 		"probe the predictor on every simulation and write the ablation benchmarks' per-branch classifications as CSV to this file")
 	var (

@@ -32,7 +32,7 @@ import (
 func main() { cli.Main("spec", run) }
 
 func run(args []string, stdout, stderr io.Writer) (err error) {
-	c := cli.New("spec", stdout, stderr, cli.EngineFlags|cli.DispatchFlags|cli.MonitorFlags|cli.RecorderFlags|cli.ProfileFlags)
+	c := cli.New("spec", stdout, stderr, cli.EngineFlags|cli.MonitorFlags|cli.RecorderFlags|cli.ProfileFlags)
 	c.Bpred("probe the predictor on every simulation and print each benchmark's table-level study; -json reports gain per-run bpredstudy sections (schema "+trace.SchemaV6+")",
 		"probe the predictor on every simulation and write the per-branch classifications of all suites as CSV to this file")
 	fs := c.Flags

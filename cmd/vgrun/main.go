@@ -45,7 +45,7 @@ import (
 func main() { cli.Main("vgrun", run) }
 
 func run(args []string, stdout, stderr io.Writer) (err error) {
-	c := cli.New("vgrun", stdout, stderr, cli.EngineFlags|cli.DispatchFlags|cli.MonitorFlags|cli.RecorderFlags|cli.ProfileFlags)
+	c := cli.New("vgrun", stdout, stderr, cli.EngineFlags|cli.MonitorFlags|cli.RecorderFlags|cli.ProfileFlags)
 	c.Bpred("probe the direction predictor: print the table-level study and per-branch predictability classes, add a bpredstudy section to -json reports (schema "+trace.SchemaV6+")",
 		"write the probed run's per-branch classification as CSV to this file (implies -bpred-report)")
 	fs := c.Flags
@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	im := ir.MustLinearize(p)
 	gm := mem.New()
-	gst, fstats, err := interp.Run(im, gm, interp.Options{MaxInstrs: *maxInstrs, Dispatch: c.Dispatch})
+	gst, fstats, err := interp.Run(im, gm, interp.Options{MaxInstrs: *maxInstrs})
 	if err != nil {
 		return fmt.Errorf("interpret: %w", err)
 	}
@@ -150,10 +150,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	// v4: the dispatch engine joined the key — kernels and switch are
 	// byte-identical, but the namespace moves with the simulator core.
 	// v5: the probe joined the key, so probed runs (whose Stats carry a
-	// bpredstudy) never alias plain entries.
+	// bpredstudy) never alias plain entries. v6: the dispatch engine left
+	// the key (kernels only).
 	key := ""
 	if !tracing {
-		key = engine.Key("vgrun/v5", string(src), *width, *transform, *maxInstrs, *sampleWin, *attrOn, pvCfg, c.Dispatch.String(), probeOn)
+		key = engine.Key("vgrun/v6", string(src), *width, *transform, *maxInstrs, *sampleWin, *attrOn, pvCfg, probeOn)
 	}
 
 	runTiming := func(context.Context) (*pipeline.Stats, error) {
@@ -161,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		cfg.SampleWindow = *sampleWin
 		cfg.Attr = *attrOn
 		cfg.Pipeview = pvCfg
-		cfg.Dispatch = c.Dispatch
 		cfg.Probe = probeOn
 		mach := pipeline.New(im, mem.New(), cfg)
 
@@ -333,11 +333,10 @@ func runAttrDiff(c *cli.Command, path string, p *ir.Program, baseIm *ir.Image, g
 	sim := func(im *ir.Image, binary string) engine.Unit[*pipeline.Stats] {
 		return engine.Unit[*pipeline.Stats]{
 			Label: binary + "/" + path,
-			Key:   engine.Key("vgrun-attrdiff/v2", string(src), width, maxInstrs, binary, c.Dispatch.String()),
+			Key:   engine.Key("vgrun-attrdiff/v3", string(src), width, maxInstrs, binary),
 			Run: func(context.Context) (*pipeline.Stats, error) {
 				cfg := pipeline.DefaultConfig(width)
 				cfg.Attr = true
-				cfg.Dispatch = c.Dispatch
 				mach := pipeline.New(im, mem.New(), cfg)
 				st, err := mach.Run()
 				if err != nil {

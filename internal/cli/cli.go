@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"vanguard/internal/engine"
-	"vanguard/internal/exec"
 	"vanguard/internal/harness"
 	"vanguard/internal/trace"
 )
@@ -44,7 +43,6 @@ type Group uint
 
 const (
 	EngineFlags   Group = 1 << iota // -jobs, -cache-dir, -no-cache
-	DispatchFlags                   // -dispatch
 	MonitorFlags                    // -progress, -listen
 	RecorderFlags                   // -sweep-trace, -sweep-chrome
 	ProfileFlags                    // -cpuprofile, -memprofile
@@ -67,21 +65,19 @@ type Command struct {
 	Cache    *engine.Cache
 	Monitor  *engine.Monitor
 	Recorder *engine.SweepRecorder
-	Dispatch exec.Dispatch
 	// EngineStats accumulates the harness runs configured through
 	// Options; nil without EngineFlags.
 	EngineStats *harness.EngineStats
 
-	groups       Group
-	jobs         int
-	cacheDir     string
-	noCache      bool
-	dispatchName string
-	progress     bool
-	listen       string
-	sweepTrace   string
-	sweepChrome  string
-	memProfile   string
+	groups      Group
+	jobs        int
+	cacheDir    string
+	noCache     bool
+	progress    bool
+	listen      string
+	sweepTrace  string
+	sweepChrome string
+	memProfile  string
 
 	cpuFile     *os.File
 	closeServer func() error
@@ -98,9 +94,6 @@ func New(name string, stdout, stderr io.Writer, groups Group) *Command {
 		fs.IntVar(&c.jobs, "jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 		fs.StringVar(&c.cacheDir, "cache-dir", engine.DefaultDir(), "on-disk run cache directory")
 		fs.BoolVar(&c.noCache, "no-cache", false, "disable the on-disk run cache")
-	}
-	if groups&DispatchFlags != 0 {
-		fs.StringVar(&c.dispatchName, "dispatch", "kernels", "instruction dispatch engine: kernels (per-PC compiled at load) or switch (reference exec.Step); results are byte-identical")
 	}
 	if groups&MonitorFlags != 0 {
 		fs.BoolVar(&c.progress, "progress", false, "render a live engine status line on stderr")
@@ -156,7 +149,7 @@ func (c *Command) CheckWidth(w int) error {
 	return nil
 }
 
-// Start acts on the parsed flags: CPU profile, -dispatch, run cache (one
+// Start acts on the parsed flags: CPU profile, run cache (one
 // that cannot be opened only disables caching), monitor server and
 // status line, flight recorder. Close releases them, also after a
 // failed Start.
@@ -171,13 +164,6 @@ func (c *Command) Start() error {
 			return err
 		}
 		c.cpuFile = f
-	}
-	if c.groups&DispatchFlags != 0 {
-		d, err := exec.ParseDispatch(c.dispatchName)
-		if err != nil {
-			return err
-		}
-		c.Dispatch = d
 	}
 	if !c.noCache && c.cacheDir != "" {
 		cache, err := engine.Open(c.cacheDir)
@@ -213,7 +199,7 @@ func (c *Command) Options(o *harness.Options) {
 	if c.groups&EngineFlags != 0 && c.EngineStats == nil {
 		c.EngineStats = &harness.EngineStats{}
 	}
-	o.Jobs, o.Dispatch = c.jobs, c.Dispatch
+	o.Jobs = c.jobs
 	o.Cache, o.Monitor, o.Recorder = c.Cache, c.Monitor, c.Recorder
 	o.EngineStats, o.Probe = c.EngineStats, c.Probe()
 }

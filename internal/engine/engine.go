@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -56,13 +55,6 @@ type Config struct {
 	// Deprecated: Lanes is ignored; every unit runs on its own. Kept
 	// only for a caller outside this module.
 	Lanes int
-	// Labels, when non-empty, is an alternating key/value list of
-	// runtime/pprof labels applied to every worker goroutine (e.g.
-	// "dispatch", "kernels"), so CPU profiles attribute simulation time
-	// per execution-policy axis. A trailing odd element is ignored.
-	// Labels are observability only — they never change scheduling or
-	// results.
-	Labels []string
 	// Recorder, when non-nil, receives one span per unit lifecycle phase
 	// (the sweep flight recording; see SweepRecorder). Like Monitor it is
 	// observability only, may span several Run calls, and costs nothing
@@ -161,14 +153,20 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 			if rec != nil {
 				p0 = rec.since()
 			}
+			// A corrupt entry is counted, recomputed and overwritten.
+			data, corrupt := cfg.Cache.get(u.Key)
 			hit := false
-			if data, ok := cfg.Cache.Get(u.Key); ok {
+			if data != nil {
 				var v T
 				if err := json.Unmarshal(data, &v); err == nil {
 					results[i] = v
 					hit = true
+				} else {
+					corrupt = true
 				}
-				// A corrupt entry is treated as a miss and recomputed.
+			}
+			if corrupt && cfg.Monitor != nil {
+				cfg.Monitor.cacheCorrupt()
 			}
 			if rec != nil {
 				rec.probe(base+i, p0, hit)
@@ -227,14 +225,9 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 			runUnit(wid, i)
 		}
 	}
-	labeled := worker
-	if kv := cfg.Labels; len(kv) >= 2 {
-		labels := pprof.Labels(kv[:len(kv)&^1]...)
-		labeled = func(wid int) { pprof.Do(ctx, labels, func(context.Context) { worker(wid) }) }
-	}
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
-		go labeled(w)
+		go worker(w)
 	}
 feed:
 	for i := range units {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,42 +168,87 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntry: a mangled cache file is recomputed, not trusted.
+// TestCacheCorruptEntry: a damaged cache entry is recomputed, counted
+// and overwritten, never served — whether it is truncated, has one digit
+// of its payload flipped (still valid JSON), or is another key's intact
+// entry copied under this key's path.
 func TestCacheCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, c *Cache, key, other string)
+	}{
+		{"truncated", func(t *testing.T, c *Cache, key, _ string) {
+			b := readFile(t, c.path(key))
+			writeFile(t, c.path(key), b[:len(b)/2])
+		}},
+		{"flipped-digit", func(t *testing.T, c *Cache, key, _ string) {
+			b := readFile(t, c.path(key))
+			flipped := strings.Replace(string(b), `"A":7`, `"A":8`, 1)
+			if flipped == string(b) {
+				t.Fatalf("entry holds no payload digit to flip: %q", b)
+			}
+			writeFile(t, c.path(key), []byte(flipped))
+		}},
+		{"other-key", func(t *testing.T, c *Cache, key, other string) {
+			writeFile(t, c.path(key), readFile(t, c.path(other)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var computed atomic.Int64
+			unit := func(key string, a int) Unit[payload] {
+				return Unit[payload]{Label: key[:8], Key: key, Run: func(context.Context) (payload, error) {
+					computed.Add(1)
+					return payload{A: a}, nil
+				}}
+			}
+			key, other := Key("corrupt", 1), Key("corrupt", 2)
+			u := unit(key, 7)
+			if _, _, err := Run(context.Background(), Config{Cache: c}, []Unit[payload]{u, unit(other, 9)}); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, c, key, other)
+
+			mon := NewMonitor()
+			res, st, err := Run(context.Background(), Config{Cache: c, Monitor: mon}, []Unit[payload]{u})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].A != 7 || computed.Load() != 3 {
+				t.Fatalf("damaged entry served: got %+v after %d computes, want A=7 recomputed (3 computes)", res[0], computed.Load())
+			}
+			if st.CacheHits != 0 || st.CacheMisses != 1 {
+				t.Fatalf("damaged entry counted as a hit (hits=%d misses=%d)", st.CacheHits, st.CacheMisses)
+			}
+			if mon.corrupt != 1 {
+				t.Fatalf("corrupt entries counted %d, want 1", mon.corrupt)
+			}
+			// The recompute must have repaired the entry.
+			b, ok := c.Get(key)
+			var p payload
+			if !ok || json.Unmarshal(b, &p) != nil || p.A != 7 {
+				t.Fatalf("cache entry not repaired: %q ok=%v", b, ok)
+			}
+		})
 	}
-	key := Key("corrupt", 1)
-	unit := Unit[payload]{Label: "u", Key: key, Run: func(context.Context) (payload, error) {
-		return payload{A: 7}, nil
-	}}
-	if _, _, err := Run(context.Background(), Config{Cache: c}, []Unit[payload]{unit}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key[:2], key+".json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, st, err := Run(context.Background(), Config{Cache: c}, []Unit[payload]{unit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].A != 7 {
-		t.Fatalf("recomputed value = %+v", res[0])
-	}
-	if st.CacheHits != 0 || st.CacheMisses != 1 {
-		t.Fatalf("corrupt entry counted as a hit (hits=%d misses=%d)", st.CacheHits, st.CacheMisses)
-	}
-	// The recompute should have repaired the entry.
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p payload
-	if err := json.Unmarshal(b, &p); err != nil || p.A != 7 {
-		t.Fatalf("cache entry not repaired: %q err=%v", b, err)
+	return b
+}
+
+func writeFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

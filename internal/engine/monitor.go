@@ -30,10 +30,13 @@ type Monitor struct {
 	failed      int
 	cacheHits   int
 	cacheMisses int
-	jobs        int // high-water of configured workers, for the idle-ETA divisor
-	ewma        time.Duration
-	active      map[int]activeUnit
-	nextSlot    int
+	// corrupt counts run-cache entries found corrupt and recomputed
+	// (/metrics only: no snapshot or report carries it).
+	corrupt  int
+	jobs     int // high-water of configured workers, for the idle-ETA divisor
+	ewma     time.Duration
+	active   map[int]activeUnit
+	nextSlot int
 	// latency histograms computed-unit wall times in microseconds
 	// (power-of-two buckets, the /metrics histogram and the /debug/sweep
 	// bars); busy accumulates worker-occupied time across retired units
@@ -124,6 +127,13 @@ func (m *Monitor) beginUnit(label string) int {
 	m.active[slot] = activeUnit{label: label, since: time.Now()}
 	m.mu.Unlock()
 	return slot
+}
+
+// cacheCorrupt counts one corrupt run-cache entry.
+func (m *Monitor) cacheCorrupt() {
+	m.mu.Lock()
+	m.corrupt++
+	m.mu.Unlock()
 }
 
 // endUnit retires a unit: cache hits complete without touching the
@@ -309,6 +319,9 @@ func (m *Monitor) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		p := m.Snapshot()
+		m.mu.Lock()
+		corrupt := m.corrupt
+		m.mu.Unlock()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprintf(w, "# HELP vanguard_units_total Units enqueued on the engine.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_units_total counter\nvanguard_units_total %d\n", p.Total)
@@ -320,6 +333,8 @@ func (m *Monitor) Handler() http.Handler {
 		fmt.Fprintf(w, "# TYPE vanguard_cache_hits_total counter\nvanguard_cache_hits_total %d\n", p.CacheHits)
 		fmt.Fprintf(w, "# HELP vanguard_cache_misses_total Units computed because the run cache had no entry (includes failures).\n")
 		fmt.Fprintf(w, "# TYPE vanguard_cache_misses_total counter\nvanguard_cache_misses_total %d\n", p.CacheMisses)
+		fmt.Fprintf(w, "# HELP vanguard_cache_corrupt_total Run-cache entries that failed their key, checksum or decode check and were recomputed (counted among the misses).\n")
+		fmt.Fprintf(w, "# TYPE vanguard_cache_corrupt_total counter\nvanguard_cache_corrupt_total %d\n", corrupt)
 		fmt.Fprintf(w, "# HELP vanguard_unit_errors_total Units that returned an error (alias of vanguard_units_failed for error-rate dashboards).\n")
 		fmt.Fprintf(w, "# TYPE vanguard_unit_errors_total counter\nvanguard_unit_errors_total %d\n", p.Failed)
 		fmt.Fprintf(w, "# HELP vanguard_workers_active Units currently executing.\n")

@@ -218,6 +218,7 @@ func TestMetricsPromFormat(t *testing.T) {
 	mon.endUnit(slot, 0, true, false) // cache hit
 	slot = mon.beginUnit("u3")
 	mon.endUnit(slot, 0, false, true) // failed: also a cache miss
+	mon.cacheCorrupt()
 	mon.ObserveAttr(map[string]int64{
 		"base":          100,
 		"br_mispredict": 40,
@@ -238,6 +239,7 @@ func TestMetricsPromFormat(t *testing.T) {
 		`vanguard_attr_slots_total{cause="odd\"cause\\n"} 7`,
 		"vanguard_cache_hits_total 1",
 		"vanguard_cache_misses_total 2",
+		"vanguard_cache_corrupt_total 1",
 		"vanguard_unit_errors_total 1",
 	} {
 		if !strings.Contains(text, want) {

@@ -24,36 +24,11 @@ import (
 	"vanguard/internal/isa"
 )
 
-// Dispatch selects how the simulators execute instruction semantics.
+// Dispatch is the type of the Dispatch fields on pipeline.Config,
+// interp.Options and harness.Options, which nothing reads.
+//
+// Deprecated: ignored; kernels always. Kept only for perfbench/replay.go.
 type Dispatch uint8
-
-const (
-	// DispatchKernels (the default) executes through per-PC compiled
-	// kernels; the functional interpreter additionally uses fused
-	// straight-line runs.
-	DispatchKernels Dispatch = iota
-	// DispatchSwitch executes through the reference Step switch.
-	DispatchSwitch
-)
-
-// String returns the CLI-facing name of the dispatch mode.
-func (d Dispatch) String() string {
-	if d == DispatchSwitch {
-		return "switch"
-	}
-	return "kernels"
-}
-
-// ParseDispatch parses a -dispatch flag value.
-func ParseDispatch(s string) (Dispatch, error) {
-	switch s {
-	case "kernels":
-		return DispatchKernels, nil
-	case "switch":
-		return DispatchSwitch, nil
-	}
-	return DispatchKernels, fmt.Errorf("unknown dispatch mode %q (want kernels or switch)", s)
-}
 
 // Kernel is one instruction's compiled semantics: calling it executes the
 // instruction exactly as Step would at its compile-time PC (including the

@@ -1,20 +1,25 @@
 package harness
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"strings"
 	"testing"
 
-	"vanguard/internal/exec"
 	"vanguard/internal/workload"
 )
 
-// TestKernelDispatchDifferential is the end-to-end dispatch
-// differential: the full harness pipeline — build, profile, transform,
-// golden check, timing simulation, report — must produce byte-identical
-// reports (modulo the engine section) under kernel and switch dispatch.
-// Runs under -race in `make check` on several workers, so it also audits
-// the compiled kernel table, which machines on different goroutines
-// share through one pipeline.Code, for sharing hazards.
+// TestKernelDispatchDifferential is the end-to-end kernel differential:
+// the full harness pipeline — build, profile, transform, golden check,
+// timing simulation, report — must reproduce, byte for byte (modulo the
+// engine section), the report whose sha256 is pinned in
+// testdata/kernel_report.sha256. The digest was recorded while the
+// reference exec.Step switch was still a runtime path, and the switch
+// and kernel runs both produced it. Runs under -race in `make check` on
+// several workers, so it also audits the compiled kernel table, which
+// machines on different goroutines share through one pipeline.Code, for
+// sharing hazards.
 func TestKernelDispatchDifferential(t *testing.T) {
 	cs := []workload.Config{}
 	for _, name := range []string{"h264ref", "milc"} {
@@ -24,18 +29,19 @@ func TestKernelDispatchDifferential(t *testing.T) {
 		}
 		cs = append(cs, c)
 	}
-
-	run := func(d exec.Dispatch) []byte {
-		o := fastOptions()
-		o.Dispatch = d
-		rs, err := RunBenchmarks(cs, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reportBytes(t, rs)
+	want, err := os.ReadFile("testdata/kernel_report.sha256")
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	if ref, got := run(exec.DispatchSwitch), run(exec.DispatchKernels); !bytes.Equal(ref, got) {
-		t.Fatalf("kernel dispatch diverged from switch reference:\n--- switch ---\n%s\n--- kernels ---\n%s", ref, got)
+	o := fastOptions()
+	o.Jobs = 4
+	rs, err := RunBenchmarks(cs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(reportBytes(t, rs))
+	if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("report sha256 %s, pinned %s: kernel execution diverged from the recorded reference", got, strings.TrimSpace(string(want)))
 	}
 }

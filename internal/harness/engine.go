@@ -30,13 +30,12 @@ import (
 // were proven byte-identical, but entries cached before the lane core
 // existed must never alias entries computed through it, so the whole
 // namespace moved. v5: simulations dispatch through predecoded
-// kernels by default and simKey gained the Dispatch field — kernels and
-// switch are proven byte-identical (the dispatch differential), but
-// pre-kernel entries must never alias post-kernel ones and the two modes
-// must never alias each other. v6: simKeyMaterial gained the Probe field,
-// so probed runs (whose Stats carry a predictor-observatory study) never
-// alias v5 entries cached without one.
-const harnessVersion = "harness/v6"
+// kernels by default and simKey gained the Dispatch field. v6:
+// simKeyMaterial gained the Probe field, so probed runs (whose Stats
+// carry a predictor-observatory study) never alias v5 entries cached
+// without one. v7: the exec.Step switch is no longer a runtime path, so
+// simKeyMaterial lost the Dispatch field.
+const harnessVersion = "harness/v7"
 
 // benchJob is one (benchmark, options) experiment. The engine expands it
 // into a build unit (profile, transform, schedule — shared products) plus
@@ -144,7 +143,7 @@ func (j *benchJob) input(i int) (*inputArts, error) {
 		ia.refMem = refMem
 		if j.o.Verify {
 			goldProg, goldMem := j.c.Generate(in)
-			if _, _, err := interp.Run(ir.MustLinearize(goldProg), goldMem, interp.Options{Dispatch: j.o.Dispatch}); err != nil {
+			if _, _, err := interp.Run(ir.MustLinearize(goldProg), goldMem, interp.Options{}); err != nil {
 				ia.err = fmt.Errorf("%s: golden run: %w", j.c.Name, err)
 				return
 			}
@@ -177,7 +176,6 @@ type simKeyMaterial struct {
 	Attr         bool
 	Probe        bool
 	Pipeview     bool
-	Dispatch     string
 }
 
 // simKey derives the content key of one simulation unit. An anonymous
@@ -197,7 +195,7 @@ func (j *benchJob) simKey(in workload.Input, width int, binary string) string {
 		Core: j.o.Core, Spec: j.o.Spec,
 		DBBEntries: j.o.DBBEntries, ICacheBytes: j.o.ICacheBytes,
 		SampleWindow: j.o.SampleWindow, Attr: j.o.Attr, Probe: j.o.Probe,
-		Pipeview: j.o.PipeviewBench == j.c.Name, Dispatch: j.o.Dispatch.String(),
+		Pipeview: j.o.PipeviewBench == j.c.Name,
 	})
 }
 
@@ -271,8 +269,7 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 		units = append(units, j.units(ji)...)
 	}
 	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder,
-			Labels: []string{"dispatch", o.Dispatch.String()}},
+		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
 		units)
 	if o.EngineStats != nil {
 		o.EngineStats.add(est)

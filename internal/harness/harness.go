@@ -81,13 +81,8 @@ type Options struct {
 	// attributed and plain results never alias.
 	Attr bool
 
-	// Dispatch selects the execution engine for every simulation and
-	// golden run (pipeline.Config.Dispatch / interp.Options.Dispatch):
-	// compiled per-PC kernels (the zero value and the default) or the
-	// reference exec.Step switch. The two are byte-identical on stats and
-	// reports (the dispatch differentials), but Dispatch is still part of the
-	// run-cache key so an A/B sweep never serves one mode's entries to
-	// the other.
+	// Deprecated: ignored; kernels always. Kept only for
+	// perfbench/replay.go.
 	Dispatch exec.Dispatch
 
 	// PipeviewBench names one benchmark whose simulations run with the
@@ -247,7 +242,6 @@ func (o *Options) machineConfig(width int) pipeline.Config {
 	cfg.SampleWindow = o.SampleWindow
 	cfg.Attr = o.Attr
 	cfg.Probe = o.Probe
-	cfg.Dispatch = o.Dispatch
 	if o.DBBEntries > 0 {
 		cfg.DBBEntries = o.DBBEntries
 	}

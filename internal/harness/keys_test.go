@@ -50,17 +50,16 @@ func TestRunCacheKeyCoversOptions(t *testing.T) {
 		"SampleWindow":  "SampleWindow",
 		"Attr":          "Attr",
 		"Probe":         "Probe",
-		"Dispatch":      "Dispatch",
 		"PipeviewBench": "Pipeview",
 	}
 	// optionsPolicy lists the fields that steer execution or observation
 	// but cannot change any simulated result: Verify only cross-checks,
 	// Jobs/Cache/EngineStats are scheduling policy (the jobs
 	// differential proves byte-identity), Monitor and Recorder only
-	// watch.
+	// watch, and the deprecated Dispatch is read by nothing.
 	optionsPolicy := map[string]bool{
 		"Verify": true, "Jobs": true, "Cache": true, "EngineStats": true,
-		"Monitor": true, "Recorder": true,
+		"Monitor": true, "Recorder": true, "Dispatch": true,
 	}
 	ot := reflect.TypeOf(Options{})
 	for i := 0; i < ot.NumField(); i++ {
@@ -81,7 +80,7 @@ func TestRunCacheKeyCoversOptions(t *testing.T) {
 	// key material; configFixed lists the fields machineConfig leaves at
 	// DefaultConfig (no Options field can reach them, so they are covered
 	// by harnessVersion — changing a default is a recipe change and must
-	// bump it).
+	// bump it), plus the deprecated Dispatch, which nothing reads.
 	configKey := map[string]string{
 		"Width":        "Width",
 		"Hier":         "ICacheBytes",
@@ -90,7 +89,6 @@ func TestRunCacheKeyCoversOptions(t *testing.T) {
 		"SampleWindow": "SampleWindow",
 		"Attr":         "Attr",
 		"Probe":        "Probe",
-		"Dispatch":     "Dispatch",
 		"Pipeview":     "Pipeview",
 	}
 	configFixed := map[string]bool{
@@ -98,7 +96,7 @@ func TestRunCacheKeyCoversOptions(t *testing.T) {
 		"IntUnits": true, "MemUnits": true, "FPUnits": true,
 		"BTBLogEntries": true, "RASEntries": true,
 		"ExceptionEveryN": true, "DBBInvalidateOnException": true,
-		"MaxInstrs": true, "MaxCycles": true,
+		"MaxInstrs": true, "MaxCycles": true, "Dispatch": true,
 	}
 	ct := reflect.TypeOf(pipeline.Config{})
 	for i := 0; i < ct.NumField(); i++ {

@@ -10,8 +10,8 @@ import (
 	"vanguard/internal/mem"
 )
 
-// interpPrograms collects the shapes the functional simulator's dispatch
-// engines must agree on: tight loops (fused straight-line bodies), calls
+// interpPrograms collects the shapes on which the functional simulator's
+// kernels must agree with the reference exec.Step: tight loops (fused straight-line bodies), calls
 // and returns, decomposed branches, and LDS fault suppression.
 func interpPrograms() map[string]*ir.Program {
 	lds := &ir.Func{Name: "main"}
@@ -32,11 +32,11 @@ func interpPrograms() map[string]*ir.Program {
 	}
 }
 
-// TestInterpDispatchDifferential: the functional simulator must produce
-// identical final state, stats, memory and branch-event streams under
-// kernel and switch dispatch — including with an adversarial PREDICT
-// oracle, which forces the oracle-steered Step path to interleave with
-// compiled kernels.
+// TestInterpDispatchDifferential: the functional simulator's kernels and
+// fused runs must produce the final state, stats, memory and branch-event
+// streams of the reference exec.Step oracle — including with an
+// adversarial PREDICT oracle, which forces the oracle-steered Step path to
+// interleave with compiled kernels.
 func TestInterpDispatchDifferential(t *testing.T) {
 	oracles := map[string]func(pc, branchID int) bool{
 		"nil":       nil,
@@ -50,27 +50,27 @@ func TestInterpDispatchDifferential(t *testing.T) {
 	}
 	for pname, prog := range interpPrograms() {
 		for oname, oracle := range oracles {
-			run := func(d exec.Dispatch) (*exec.State, *Stats, *mem.Memory, []event) {
+			run := func(stepOracle bool) (*exec.State, *Stats, *mem.Memory, []event) {
 				t.Helper()
 				m := mem.New()
 				var evs []event
 				opt := Options{
-					Dispatch:      d,
 					PredictOracle: oracle,
 					OnBranch: func(pc int, ins isa.Instr, res exec.Result) {
 						evs = append(evs, event{pc, ins.Op, res})
 					},
+					stepOracle: stepOracle,
 				}
 				st, stats, err := Run(ir.MustLinearize(prog), m, opt)
 				if err != nil {
-					t.Fatalf("%s/%s %v: %v", pname, oname, d, err)
+					t.Fatalf("%s/%s stepOracle=%v: %v", pname, oname, stepOracle, err)
 				}
 				return st, stats, m, evs
 			}
-			sst, sstats, sm, sev := run(exec.DispatchSwitch)
-			kst, kstats, km, kev := run(exec.DispatchKernels)
+			sst, sstats, sm, sev := run(true)
+			kst, kstats, km, kev := run(false)
 			if *sstats != *kstats {
-				t.Fatalf("%s/%s: stats diverged:\nswitch:  %+v\nkernels: %+v", pname, oname, sstats, kstats)
+				t.Fatalf("%s/%s: stats diverged:\nexec.Step: %+v\nkernels:   %+v", pname, oname, sstats, kstats)
 			}
 			if sst.Regs != kst.Regs || sst.Poison != kst.Poison || sst.PC != kst.PC || sst.Halted != kst.Halted {
 				t.Fatalf("%s/%s: final state diverged", pname, oname)
@@ -79,14 +79,15 @@ func TestInterpDispatchDifferential(t *testing.T) {
 				t.Fatalf("%s/%s: memory diverged", pname, oname)
 			}
 			if !reflect.DeepEqual(sev, kev) {
-				t.Fatalf("%s/%s: branch event streams diverged:\nswitch:  %v\nkernels: %v", pname, oname, sev, kev)
+				t.Fatalf("%s/%s: branch event streams diverged:\nexec.Step: %v\nkernels:   %v", pname, oname, sev, kev)
 			}
 		}
 	}
 }
 
 // TestInterpDispatchLimit: the instruction cap must trip at the same
-// count and PC under both engines, even when a fused run would cross it.
+// count and PC under kernels as under the exec.Step oracle, even when a
+// fused run would cross it.
 func TestInterpDispatchLimit(t *testing.T) {
 	f := &ir.Func{Name: "main"}
 	l := f.AddBlock("loop")
@@ -102,10 +103,10 @@ func TestInterpDispatchLimit(t *testing.T) {
 	for _, limit := range []int64{5, 6, 7, 8} { // straddle run boundaries
 		var msgs [2]string
 		var insc [2]int64
-		for i, d := range []exec.Dispatch{exec.DispatchSwitch, exec.DispatchKernels} {
-			_, stats, err := Run(im, mem.New(), Options{MaxInstrs: limit, Dispatch: d})
+		for i, stepOracle := range []bool{true, false} {
+			_, stats, err := Run(im, mem.New(), Options{MaxInstrs: limit, stepOracle: stepOracle})
 			if err == nil {
-				t.Fatalf("limit %d %v: must trip the instruction cap", limit, d)
+				t.Fatalf("limit %d stepOracle=%v: must trip the instruction cap", limit, stepOracle)
 			}
 			msgs[i] = err.Error()
 			insc[i] = stats.Instrs

@@ -26,13 +26,14 @@ type Options struct {
 	// OnBranch, if non-nil, observes every executed BR/PREDICT/RESOLVE
 	// with its architectural outcome.
 	OnBranch func(pc int, ins isa.Instr, res exec.Result)
-	// Dispatch selects the execution engine: exec.DispatchKernels (the
-	// zero value and the default) compiles the image once and runs per-PC
-	// kernels plus fused straight-line runs; exec.DispatchSwitch steps
-	// through the reference exec.Step switch. Results, stats and errors
-	// are identical (the equivalence is property-tested); the knob exists
-	// for A/B measurement and differential gates.
+	// Deprecated: ignored; kernels always. Kept only for
+	// perfbench/replay.go.
 	Dispatch exec.Dispatch
+
+	// stepOracle steps every instruction through the reference exec.Step
+	// instead of its kernel or fused run: the tests' kernel-vs-Step
+	// differentials set it.
+	stepOracle bool
 }
 
 // DefaultMaxInstrs bounds runaway programs.
@@ -54,14 +55,13 @@ type Stats struct {
 // Run executes the image to HALT (or the instruction cap) over memory m,
 // which is mutated in place. It returns the final architectural state.
 //
-// Under kernel dispatch (the default) the image is compiled once up
-// front: every PC gets its operand-resolved kernel, and maximal
-// straight-line runs of pure register instructions execute as one fused
-// unit — no per-instruction Result, error check or stats dispatch, since
-// a fused run by construction contains no branch, memory op or faultable
-// instruction and so can only advance Instrs. Switch dispatch steps the
-// reference exec.Step; both paths produce identical state, stats and
-// errors.
+// The image is compiled once up front: every PC gets its
+// operand-resolved kernel, and maximal straight-line runs of pure
+// register instructions execute as one fused unit — no per-instruction
+// Result, error check or stats dispatch, since a fused run by
+// construction contains no branch, memory op or faultable instruction and
+// so can only advance Instrs. An oracle-steered PREDICT steps the
+// reference exec.Step.
 func Run(im *ir.Image, m *mem.Memory, opt Options) (*exec.State, *Stats, error) {
 	st := exec.NewState(m, im.Entry)
 	stats := &Stats{}
@@ -69,13 +69,9 @@ func Run(im *ir.Image, m *mem.Memory, opt Options) (*exec.State, *Stats, error) 
 	if limit <= 0 {
 		limit = DefaultMaxInstrs
 	}
-	var prog *exec.Program
-	if opt.Dispatch == exec.DispatchKernels {
-		var err error
-		prog, err = exec.CompileProgram(im.Instrs)
-		if err != nil {
-			return st, stats, fmt.Errorf("interp: %w", err)
-		}
+	prog, err := exec.CompileProgram(im.Instrs)
+	if err != nil {
+		return st, stats, fmt.Errorf("interp: %w", err)
 	}
 	for !st.Halted {
 		if stats.Instrs >= limit {
@@ -85,21 +81,18 @@ func Run(im *ir.Image, m *mem.Memory, opt Options) (*exec.State, *Stats, error) 
 			return st, stats, fmt.Errorf("interp: pc %d outside image [0,%d)", st.PC, len(im.Instrs))
 		}
 		pc := st.PC
-		if prog != nil {
-			// Fused fast path: execute the whole straight-line run from
-			// here, provided it fits under the instruction cap (a run that
-			// would cross the cap falls through to per-instruction stepping
-			// so the limit error reports the exact PC it tripped at).
-			if n := prog.FusedLen(pc); n > 0 && stats.Instrs+int64(n) <= limit {
-				prog.RunFused(pc, st)
-				stats.Instrs += int64(n)
-				continue
-			}
+		// Fused fast path: execute the whole straight-line run from here,
+		// provided it fits under the instruction cap (a run that would
+		// cross the cap falls through to per-instruction stepping so the
+		// limit error reports the exact PC it tripped at).
+		if n := prog.FusedLen(pc); n > 0 && !opt.stepOracle && stats.Instrs+int64(n) <= limit {
+			prog.RunFused(pc, st)
+			stats.Instrs += int64(n)
+			continue
 		}
 		ins := &im.Instrs[st.PC]
 		var res exec.Result
-		var err error
-		if prog != nil && !(ins.Op == isa.PREDICT && opt.PredictOracle != nil) {
+		if !opt.stepOracle && !(ins.Op == isa.PREDICT && opt.PredictOracle != nil) {
 			// Kernels compile PREDICT as the not-taken choice; an oracle-
 			// steered PREDICT routes through Step, everything else through
 			// its kernel.

@@ -67,13 +67,8 @@ type Config struct {
 	MaxInstrs int64
 	MaxCycles int64
 
-	// Dispatch selects how the issue stage executes instruction
-	// semantics: exec.DispatchKernels (the zero value and the default)
-	// calls the per-PC kernel compiled at predecode, operands already
-	// resolved; exec.DispatchSwitch calls the reference exec.Step switch.
-	// The two are byte-identical on stats, telemetry and architectural
-	// results (the dispatch differentials prove it); the knob exists for A/B
-	// measurement and as an escape hatch back to the reference semantics.
+	// Deprecated: ignored; kernels always. Kept only for
+	// perfbench/replay.go.
 	Dispatch exec.Dispatch
 
 	// Attr enables cycle attribution: every issue slot of every cycle is
@@ -117,6 +112,13 @@ type Config struct {
 	// purpose): it is the differential oracle the fast-forward is checked
 	// against, and results are identical either way.
 	stepEveryCycle bool
+
+	// stepOracle makes the issue stage execute every instruction through
+	// the reference exec.Step switch instead of its compiled kernel.
+	// Test-only (unexported on purpose): it is the differential oracle
+	// the kernels are checked against, and results are identical either
+	// way.
+	stepOracle bool
 
 	// debugCheckpoints additionally takes a full register-file snapshot at
 	// every speculation point and cross-checks the undo-journal rewind

@@ -56,15 +56,15 @@ type fetchSpec struct {
 // instruction metadata the hot loop needs (register uses/def, functional
 // unit, latency, kind flags, control target, static branch), so it never
 // re-derives it through isa switches or touches the image's isa.Instr,
-// which only trace events and switch dispatch still read. Built once per
-// image by Compile and shared read-only by every machine over that image.
+// which only trace events and the tests' exec.Step oracle still read.
+// Built once per image by Compile and shared read-only by every machine
+// over that image.
 type predecoded struct {
 	// kernel is the instruction's compiled semantics (exec.Compile): one
 	// direct-through-pointer call replaces exec.Step's megamorphic opcode
 	// switch in the issue stage. nil only for an opcode the compiler
 	// rejected; predecode surfaces that as its error and Run refuses to
-	// start under kernel dispatch (switch dispatch keeps the reference
-	// step-time fault behavior).
+	// start.
 	kernel exec.Kernel
 	// pure is the no-Result/no-error form of a pure register op
 	// (exec.CompilePure; nil otherwise): such an op cannot fault, touch
@@ -91,10 +91,7 @@ const (
 
 // predecode builds the per-PC table, compiling each instruction's kernel
 // along the way. The returned error is the first kernel-compile failure
-// (an unknown opcode); the table itself is still fully built — under
-// switch dispatch the machine runs it exactly as before (the bad opcode
-// faults at step time, the reference behavior), while kernel dispatch
-// refuses to start.
+// (an unknown opcode), on which Run refuses to start.
 func predecode(instrs []isa.Instr) ([]predecoded, error) {
 	pre := make([]predecoded, len(instrs))
 	var firstErr error
@@ -287,12 +284,9 @@ type Machine struct {
 	pre      []predecoded
 	feDelay  int64 // FrontEndDepth-1: fetched at c, issues no earlier than c+feDelay
 
-	// useKernels mirrors cfg.Dispatch == exec.DispatchKernels for the
-	// issue hot path; preErr is the Code's kernel-compile error (nil for
-	// any program made of known opcodes) and blocks Run only under kernel
-	// dispatch.
-	useKernels bool
-	preErr     error
+	// preErr is the Code's kernel-compile error (nil for any program
+	// made of known opcodes); Run refuses to start while it is set.
+	preErr error
 
 	fuLimit [isa.NumFUClasses]int // issue slots per functional-unit class
 
@@ -465,7 +459,6 @@ func NewFromCode(code *Code, m *mem.Memory, cfg Config) *Machine {
 		pendFaultSeq:  -1,
 		repairStart:   -1,
 		headStall:     headStall{seq: -1},
-		useKernels:    cfg.Dispatch == exec.DispatchKernels,
 	}
 	mach.st = exec.NewState(sbView{mach}, im.Entry)
 	mach.fuLimit[isa.FUInt] = cfg.IntUnits
@@ -772,11 +765,9 @@ func (m *Machine) attrNoteOperand(pd *predecoded) {
 }
 
 // Run simulates to HALT (or an instruction/cycle cap) and returns stats.
-// Only kernel dispatch refuses to start an image with an uncompilable
-// opcode: switch dispatch is the reference semantics and keeps the
-// step-time fault.
+// An image with an uncompilable opcode is refused before the first cycle.
 func (m *Machine) Run() (*Stats, error) {
-	if m.useKernels && m.preErr != nil {
+	if m.preErr != nil {
 		m.finishStats()
 		return &m.stats, m.preErr
 	}
@@ -1420,18 +1411,17 @@ func (m *Machine) issueOne(fe *fetchEntry, fs *fetchSpec, pd *predecoded) {
 	m.curSeq = fe.seq
 	var res exec.Result
 	var err error
-	if m.useKernels {
-		if pd.pure != nil {
-			// Pure register op: no fault, no memory access, no
-			// speculation point — nothing downstream reads res or err,
-			// so skip the kernel's Result/error return entirely.
-			pd.pure(m.st)
-			m.st.PC = fe.pc + 1
-		} else {
-			res, err = pd.kernel(m.st)
-		}
-	} else {
+	switch {
+	case m.cfg.stepOracle:
 		res, err = exec.Step(m.st, &m.im.Instrs[fe.pc], false)
+	case pd.pure != nil:
+		// Pure register op: no fault, no memory access, no speculation
+		// point — nothing downstream reads res or err, so skip the
+		// kernel's Result/error return entirely.
+		pd.pure(m.st)
+		m.st.PC = fe.pc + 1
+	default:
+		res, err = pd.kernel(m.st)
 	}
 	if err != nil && m.pendFaultSeq < 0 {
 		// Defer: real only if this instruction commits. Copy a sentinel
