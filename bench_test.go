@@ -11,6 +11,7 @@ package vanguard_test
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -397,25 +398,39 @@ func sweepImages(b *testing.B) (*ir.Image, []*mem.Memory) {
 
 // BenchmarkSimSweepW4 runs the whole 64-unit sweep once per iteration —
 // one compile, then one machine per unit over the shared Code — and
-// reports aggregate throughput as sim-MIPS.
+// reports aggregate throughput as sim-MIPS. It keeps every unit's Stats,
+// as a job set does for aggregation, and reports as retained-MB the heap
+// those 64 results hold live after a collection: a result that pinned its
+// machine would keep a cache hierarchy and a memory clone per unit.
 func BenchmarkSimSweepW4(b *testing.B) {
 	im, mems := sweepImages(b)
 	cfg := pipeline.DefaultConfig(4)
 	var instrs int64
+	kept := make([]*pipeline.Stats, len(mems))
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		code := pipeline.Compile(im)
-		for _, m := range mems {
+		for u, m := range mems {
 			st, err := pipeline.NewFromCode(code, m.Clone(), cfg).Run()
 			if err != nil {
 				b.Fatal(err)
 			}
+			kept[u] = st
 			instrs += st.Committed
 		}
 	}
+	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(instrs)/secs/1e6, "sim-MIPS")
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(int64(ms.HeapAlloc)-int64(before))/(1<<20), "retained-MB")
+	runtime.KeepAlive(kept)
 }
 
 // BenchmarkTable1Machine measures raw simulator throughput on the Table 1

@@ -138,12 +138,11 @@ func (j *benchJob) code(a *jobArts, binary string, iters int64) *pipeline.Code {
 func (j *benchJob) input(i int) (*inputArts, error) {
 	ia := j.arts.inputs[i]
 	ia.once.Do(func() {
-		in := j.o.RefInputs[i]
-		_, refMem := j.c.Generate(in)
+		prog, refMem := j.c.Generate(j.o.RefInputs[i])
 		ia.refMem = refMem
 		if j.o.Verify {
-			goldProg, goldMem := j.c.Generate(in)
-			if _, _, err := interp.Run(ir.MustLinearize(goldProg), goldMem, interp.Options{}); err != nil {
+			goldMem := refMem.Clone()
+			if _, _, err := interp.Run(ir.MustLinearize(prog), goldMem, interp.Options{}); err != nil {
 				ia.err = fmt.Errorf("%s: golden run: %w", j.c.Name, err)
 				return
 			}

@@ -215,8 +215,14 @@ type ICacheStudy struct {
 }
 
 // RunICacheStudy executes the study over a suite: both configurations of
-// every benchmark run as one engine job set.
+// every benchmark run as one engine job set. The study measures REF input
+// 0 only (the first of base.RefInputs), so that is the only input it
+// simulates.
 func RunICacheStudy(suite string, base Options) ([]ICacheStudy, error) {
+	if len(base.RefInputs) == 0 {
+		return nil, fmt.Errorf("icache study %s: no REF inputs", suite)
+	}
+	base.RefInputs = base.RefInputs[:1]
 	small := base
 	small.ICacheBytes = 24 << 10
 	small.Widths = []int{4}

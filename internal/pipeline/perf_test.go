@@ -3,8 +3,11 @@ package pipeline
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"vanguard/internal/cache"
 	"vanguard/internal/interp"
 	"vanguard/internal/ir"
 	"vanguard/internal/isa"
@@ -51,6 +54,45 @@ func allocProbeProgram(iters int64) (*ir.Program, *mem.Memory) {
 	m := mem.New()
 	m.MustStore(uint64(dataBase), 3)
 	return &ir.Program{Funcs: []*ir.Func{f}}, m
+}
+
+// TestRunResultDoesNotPinMachine checks that Run's Stats is detached
+// from the Machine that produced it: once only the result is held, the
+// machine (its cache hierarchy, memory clone and predictor tables) is
+// collectable, so a job set's heap grows with the simulations in flight
+// rather than with the results it keeps. The finalizer sits on the
+// machine's cache hierarchy, which only the machine references: the
+// Machine itself is on a cycle (its exec.State writes back through
+// sbView{m}), and Go never runs the finalizer of an object on a cycle.
+func TestRunResultDoesNotPinMachine(t *testing.T) {
+	collected := make(chan struct{})
+	st := func() *Stats {
+		prog, m := allocProbeProgram(500)
+		mach := New(ir.MustLinearize(prog), m, cfg4())
+		runtime.SetFinalizer(mach.Hier, func(*cache.Hierarchy) { close(collected) })
+		st, err := mach.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st, mach.Stats()) {
+			t.Fatal("Run's result differs from the machine's live Stats")
+		}
+		return st
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if st.Committed == 0 {
+				t.Fatal("result lost its counters")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("the Machine is still reachable through the Stats that Run returned")
+		}
+	}
 }
 
 // TestSteadyStateZeroAllocs is the tentpole's acceptance gate: once a

@@ -545,7 +545,9 @@ func (m *Machine) takeException() {
 	}
 }
 
-// Stats returns the run statistics (valid after Run).
+// Stats returns the machine's live statistics: a view into the Machine
+// that later cycles keep updating and that keeps the whole machine
+// reachable while it is held. Run's result is the detached copy.
 func (m *Machine) Stats() *Stats { return &m.stats }
 
 // Memory returns the machine's architectural memory (for post-run
@@ -765,11 +767,13 @@ func (m *Machine) attrNoteOperand(pd *predecoded) {
 }
 
 // Run simulates to HALT (or an instruction/cycle cap) and returns stats.
-// An image with an uncompilable opcode is refused before the first cycle.
+// The returned Stats is detached: nothing in it points into the Machine,
+// so holding it does not keep the machine's caches, memory and predictor
+// tables alive. An image with an uncompilable opcode is refused before
+// the first cycle.
 func (m *Machine) Run() (*Stats, error) {
 	if m.preErr != nil {
-		m.finishStats()
-		return &m.stats, m.preErr
+		return m.result(), m.preErr
 	}
 	m.attachPipeview()
 	if m.Sink != nil && m.Hier.OnMiss == nil {
@@ -784,20 +788,27 @@ func (m *Machine) Run() (*Stats, error) {
 	}
 	for {
 		if m.now >= m.maxCycles {
-			m.finishStats()
-			return &m.stats, fmt.Errorf("pipeline: cycle limit %d reached at pc %d", m.maxCycles, m.fetchPC)
+			return m.result(), fmt.Errorf("pipeline: cycle limit %d reached at pc %d", m.maxCycles, m.fetchPC)
 		}
 		done, err := m.stepCycle()
 		if err != nil {
-			m.finishStats()
-			return &m.stats, err
+			return m.result(), err
 		}
 		if done {
-			break
+			return m.result(), nil
 		}
 	}
+}
+
+// result finishes the statistics and returns a heap copy of them. The
+// hot-path counters stay inline in the Machine (no indirection per bump);
+// a shallow copy suffices because no attached report points back into the
+// machine: finishStats builds Samples, Attr, Bpred and Pipeview fresh, and
+// the PerBranch entries are their own heap objects.
+func (m *Machine) result() *Stats {
 	m.finishStats()
-	return &m.stats, nil
+	st := m.stats
+	return &st
 }
 
 // finishStats fills the derived/mirrored Stats fields and flushes any
