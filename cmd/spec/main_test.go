@@ -53,3 +53,27 @@ func TestSchema(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRerun runs the I-cache study twice over one run cache: the
+// rerun must print the same tables and compute nothing, its build units
+// included.
+func TestWarmRerun(t *testing.T) {
+	args := []string{"-fast", "-icache", "-cache-dir", t.TempDir()}
+	cold, coldLog, err := clitest.Exec(run, args...)
+	if err != nil {
+		t.Fatalf("cold run: %v\n%s", err, coldLog)
+	}
+	if !strings.Contains(coldLog, "engine: 48 units ") {
+		t.Errorf("cold run enumerated other than 48 units (24 builds, 24 baseline simulations):\n%s", coldLog)
+	}
+	warm, warmLog, err := clitest.Exec(run, args...)
+	if err != nil {
+		t.Fatalf("warm run: %v\n%s", err, warmLog)
+	}
+	if warm != cold {
+		t.Errorf("warm stdout differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	}
+	if !strings.Contains(warmLog, "(run cache: 48 hits, 0 misses)") {
+		t.Errorf("warm run computed units:\n%s", warmLog)
+	}
+}

@@ -34,16 +34,33 @@ import (
 // simKeyMaterial gained the Probe field, so probed runs (whose Stats
 // carry a predictor-observatory study) never alias v5 entries cached
 // without one. v7: the exec.Step switch is no longer a runtime path, so
-// simKeyMaterial lost the Dispatch field.
+// simKeyMaterial lost the Dispatch field. Build-summary keys (buildKey)
+// carry it too, so a recipe change retires both kinds of entry.
 const harnessVersion = "harness/v7"
 
 // benchJob is one (benchmark, options) experiment. The engine expands it
-// into a build unit (profile, transform, schedule — shared products) plus
-// one simulation unit per (input, width, binary).
+// into a build unit (profile, transform, schedule — its cached result is
+// the buildSummary the reports read) plus one simulation unit per
+// (input, width, binary).
 type benchJob struct {
 	c    workload.Config
 	o    Options
 	arts *jobArts
+	// binaries lists what the job simulates per (input, width): both
+	// binaries unless its caller reads only one (the I-cache study reads
+	// the baseline alone).
+	binaries []string
+}
+
+// buildSummary is everything the tables and reports read of a job's
+// build: the TRAIN profile, the transform report and the static code
+// sizes. It is the build unit's result, so the run cache serves it on a
+// warm rerun while the binaries themselves are built only when a
+// simulation misses.
+type buildSummary struct {
+	Profile               *profile.Profile
+	Report                *core.Report
+	StaticBase, StaticExp int
 }
 
 // jobArts holds the per-job shared build products. They are constructed
@@ -57,14 +74,12 @@ type jobArts struct {
 	once sync.Once
 	err  error
 
-	baseIm, expIm         *ir.Image
-	prof                  *profile.Profile
-	rep                   *core.Report
-	staticBase, staticExp int
+	baseIm, expIm *ir.Image
+	sum           *buildSummary
 
 	inputs []*inputArts // parallel to o.RefInputs
-	// codes holds one entry per (binary, iters) the REF inputs need; the
-	// map is filled by newBenchJob and only read afterwards.
+	// codes holds one entry per (binary, iters) the REF inputs can need;
+	// the map is filled by newBenchJob and only read afterwards.
 	codes map[codeKey]*codeArts
 }
 
@@ -92,20 +107,24 @@ type inputArts struct {
 	gold   *mem.Memory
 }
 
+// bothBinaries is what a job simulates unless its caller says otherwise.
+var bothBinaries = []string{"base", "exp"}
+
 func newBenchJob(c workload.Config, o Options) *benchJob {
 	a := &jobArts{inputs: make([]*inputArts, len(o.RefInputs)), codes: map[codeKey]*codeArts{}}
 	for i, in := range o.RefInputs {
 		a.inputs[i] = &inputArts{}
-		for _, binary := range []string{"base", "exp"} {
+		for _, binary := range bothBinaries {
 			if k := (codeKey{binary, in.Iters}); a.codes[k] == nil {
 				a.codes[k] = &codeArts{}
 			}
 		}
 	}
-	return &benchJob{c: c, o: o, arts: a}
+	return &benchJob{c: c, o: o, arts: a, binaries: bothBinaries}
 }
 
-// artifacts builds (once) and returns the job's shared binaries.
+// artifacts builds (once) and returns the job's shared binaries and their
+// summary.
 func (j *benchJob) artifacts() (*jobArts, error) {
 	a := j.arts
 	a.once.Do(func() {
@@ -115,8 +134,8 @@ func (j *benchJob) artifacts() (*jobArts, error) {
 			return
 		}
 		a.baseIm, a.expIm = ir.MustLinearize(base), ir.MustLinearize(exp)
-		a.prof, a.rep = prof, rep
-		a.staticBase, a.staticExp = base.NumInstrs(), exp.NumInstrs()
+		a.sum = &buildSummary{Profile: prof, Report: rep,
+			StaticBase: base.NumInstrs(), StaticExp: exp.NumInstrs()}
 	})
 	return a, a.err
 }
@@ -156,10 +175,10 @@ func (j *benchJob) input(i int) (*inputArts, error) {
 // Stats — the workload, the TRAIN input the binaries were built from, the
 // transform recipe, the machine overrides, and every result-bearing
 // observability switch. The run-cache key audit test
-// (TestRunCacheKeyCoversOptions) reconciles this struct against
-// harness.Options and pipeline.Config field by field, so a new
-// result-affecting option that is not threaded through here fails a test
-// instead of silently aliasing cache entries.
+// (TestRunCacheKeyCoversOptions) reconciles this struct and
+// buildKeyMaterial against harness.Options and pipeline.Config field by
+// field, so a new result-affecting option that is not threaded through
+// here fails a test instead of silently aliasing cache entries.
 type simKeyMaterial struct {
 	Config       workload.Config
 	Train        workload.Input
@@ -177,16 +196,52 @@ type simKeyMaterial struct {
 	Pipeview     bool
 }
 
-// simKey derives the content key of one simulation unit. An anonymous
-// predictor (NewPredictor set without PredictorName) makes the unit
-// uncacheable.
-func (j *benchJob) simKey(in workload.Input, width int, binary string) string {
-	if j.o.NewPredictor != nil && j.o.PredictorName == "" {
+// buildKeyMaterial is everything BuildBinaries reads, and so everything
+// that determines a job's buildSummary. Simulation-only options (widths,
+// REF inputs, machine overrides, observers) stay out, so jobs that
+// differ only in what they simulate — the I-cache study's 32 KB and
+// 24 KB jobs and the suite run they sit beside — share one entry.
+type buildKeyMaterial struct {
+	Config    workload.Config
+	Train     workload.Input
+	Predictor string
+	Core      core.Options
+	Spec      core.SpeculateOptions
+}
+
+// predictorKey names the job's predictor in its run-cache keys, or
+// returns "" for an anonymous predictor (NewPredictor set without
+// PredictorName), which cannot be hashed and so makes every unit of the
+// job uncacheable.
+func (j *benchJob) predictorKey() string {
+	switch {
+	case j.o.PredictorName != "":
+		return j.o.PredictorName
+	case j.o.NewPredictor != nil:
 		return ""
 	}
-	pred := j.o.PredictorName
+	return "default"
+}
+
+// buildKey derives the content key of the job's build unit, tagged
+// "build" so it never meets a simulation key; "" when uncacheable.
+func (j *benchJob) buildKey() string {
+	pred := j.predictorKey()
 	if pred == "" {
-		pred = "default"
+		return ""
+	}
+	return engine.Key(harnessVersion, "build", buildKeyMaterial{
+		Config: j.c, Train: j.o.TrainInput, Predictor: pred,
+		Core: j.o.Core, Spec: j.o.Spec,
+	})
+}
+
+// simKey derives the content key of one simulation unit; "" when
+// uncacheable (an anonymous predictor).
+func (j *benchJob) simKey(in workload.Input, width int, binary string) string {
+	pred := j.predictorKey()
+	if pred == "" {
+		return ""
 	}
 	return engine.Key(harnessVersion, simKeyMaterial{
 		Config: j.c, Train: j.o.TrainInput, Input: in,
@@ -226,22 +281,31 @@ func (j *benchJob) simulate(inputIdx, width int, binary string) (*pipeline.Stats
 	return st, nil
 }
 
-// units enumerates the job's engine units in deterministic order: the
-// build unit first, then (input x width x {base, exp}) simulations. The
-// build unit is uncacheable on purpose — the aggregated BenchResult needs
-// the profile and transform report even when every simulation below is a
-// cache hit.
-func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
-	us := []engine.Unit[*pipeline.Stats]{{
+// buildUnit is the job's build unit. On a miss it builds the binaries
+// (which the job's simulations then share) and returns their summary; on
+// a hit nothing is built, and the binaries are built only if one of the
+// job's simulations misses.
+func (j *benchJob) buildUnit(jobIdx int) engine.Unit[*buildSummary] {
+	return engine.Unit[*buildSummary]{
 		Label: fmt.Sprintf("%d/%s/build", jobIdx, j.c.Name),
-		Run: func(context.Context) (*pipeline.Stats, error) {
-			_, err := j.artifacts()
-			return nil, err
+		Key:   j.buildKey(),
+		Run: func(context.Context) (*buildSummary, error) {
+			a, err := j.artifacts()
+			if err != nil {
+				return nil, err
+			}
+			return a.sum, nil
 		},
-	}}
+	}
+}
+
+// simUnits enumerates the job's simulation units in deterministic order:
+// input x width x j.binaries.
+func (j *benchJob) simUnits(jobIdx int) []engine.Unit[*pipeline.Stats] {
+	var us []engine.Unit[*pipeline.Stats]
 	for ii, in := range j.o.RefInputs {
 		for _, w := range j.o.Widths {
-			for _, binary := range []string{"base", "exp"} {
+			for _, binary := range j.binaries {
 				us = append(us, engine.Unit[*pipeline.Stats]{
 					Label: fmt.Sprintf("%d/%s/seed=%d,iters=%d/w%d/%s",
 						jobIdx, j.c.Name, in.Seed, in.Iters, w, binary),
@@ -257,22 +321,27 @@ func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
 }
 
 // runBenchJobs executes a (possibly heterogeneous) set of benchmark jobs
-// as one engine job set and aggregates per-job BenchResults in
-// enumeration order. The execution policy (Jobs, Cache, EngineStats)
-// comes from o; each job's own Options govern what it simulates.
+// and aggregates per-job BenchResults in enumeration order: first every
+// job's build unit as one engine job set, then every simulation as
+// another. The execution policy (Jobs, Cache, EngineStats) comes from o;
+// each job's own Options govern what it simulates.
 func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
+	cfg := engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder}
+	builds := make([]engine.Unit[*buildSummary], len(jobs))
 	var units []engine.Unit[*pipeline.Stats]
 	first := make([]int, len(jobs)) // index of each job's first simulation unit
 	for ji, j := range jobs {
-		first[ji] = len(units) + 1 // skip the build unit
-		units = append(units, j.units(ji)...)
+		builds[ji] = j.buildUnit(ji)
+		first[ji] = len(units)
+		units = append(units, j.simUnits(ji)...)
 	}
-	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
-		units)
-	if o.EngineStats != nil {
-		o.EngineStats.add(est)
+	sums, est, err := engine.Run(context.Background(), cfg, builds)
+	o.EngineStats.add(est)
+	if err != nil {
+		return nil, err
 	}
+	results, est, err := engine.Run(context.Background(), cfg, units)
+	o.EngineStats.add(est)
 	if err != nil {
 		return nil, err
 	}
@@ -291,20 +360,25 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 
 	out := make([]*BenchResult, len(jobs))
 	for ji, j := range jobs {
-		a, err := j.artifacts()
-		if err != nil {
-			return nil, err
-		}
+		sum := sums[ji]
 		res := &BenchResult{
-			Config: j.c, Profile: a.prof, Report: a.rep,
-			StaticBase: a.staticBase, StaticExp: a.staticExp,
+			Config: j.c, Profile: sum.Profile, Report: sum.Report,
+			StaticBase: sum.StaticBase, StaticExp: sum.StaticExp,
 		}
 		k := first[ji]
 		for _, in := range j.o.RefInputs {
 			ir2 := InputResult{Input: in}
 			for _, w := range j.o.Widths {
-				ir2.Runs = append(ir2.Runs, WidthRun{Width: w, Base: results[k], Exp: results[k+1]})
-				k += 2
+				wr := WidthRun{Width: w}
+				for _, binary := range j.binaries {
+					if binary == "base" {
+						wr.Base = results[k]
+					} else {
+						wr.Exp = results[k]
+					}
+					k++
+				}
+				ir2.Runs = append(ir2.Runs, wr)
 			}
 			res.Inputs = append(res.Inputs, ir2)
 		}

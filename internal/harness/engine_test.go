@@ -2,7 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 
 	"vanguard/internal/bpred"
@@ -116,8 +120,10 @@ func TestJobs1RepeatDifferential(t *testing.T) {
 	}
 }
 
-// TestWarmCache: a second run over a shared cache directory reports hits
-// for every timing simulation and produces identical results.
+// TestWarmCache: a second run over a shared cache directory serves every
+// unit — build summaries included — from the cache, computes nothing and
+// produces a byte-identical report. A damaged build-summary entry is
+// recomputed, never served.
 func TestWarmCache(t *testing.T) {
 	cache, err := engine.Open(t.TempDir())
 	if err != nil {
@@ -136,33 +142,80 @@ func TestWarmCache(t *testing.T) {
 		}
 		return rs, es.Report()
 	}
+	builds := func(rep *trace.EngineReport) (units, hits int) {
+		for _, u := range rep.UnitWall {
+			if strings.HasSuffix(u.Label, "/build") {
+				units++
+				if u.CacheHit {
+					hits++
+				}
+			}
+		}
+		return units, hits
+	}
 
 	cold, coldRep := run()
 	if coldRep.CacheHits != 0 {
 		t.Fatalf("cold run reported %d hits", coldRep.CacheHits)
 	}
-	if coldRep.CacheMisses == 0 {
-		t.Fatal("cold run stored nothing in the cache")
+	if coldRep.CacheMisses != coldRep.Units {
+		t.Fatalf("cold run stored %d of %d units in the cache", coldRep.CacheMisses, coldRep.Units)
 	}
+	coldBytes := reportBytes(t, cold)
 
 	warm, warmRep := run()
-	if warmRep.CacheHits == 0 {
-		t.Fatal("warm run reported no cache hits")
-	}
 	if warmRep.CacheHits != coldRep.CacheMisses {
 		t.Errorf("warm hits %d != cold misses %d", warmRep.CacheHits, coldRep.CacheMisses)
 	}
 	if warmRep.CacheMisses != 0 {
 		t.Errorf("warm run still missed %d units", warmRep.CacheMisses)
 	}
-	if !bytes.Equal(reportBytes(t, cold), reportBytes(t, warm)) {
+	if n, hits := builds(warmRep); n != 1 || hits != 1 {
+		t.Errorf("warm run served %d of %d build units from the cache, want 1 of 1", hits, n)
+	}
+	if !bytes.Equal(coldBytes, reportBytes(t, warm)) {
 		t.Error("cached results differ from computed results")
 	}
+
+	t.Run("corrupt-build-entry", func(t *testing.T) {
+		key := newBenchJob(c, fastOptions()).buildKey()
+		path := filepath.Join(cache.Dir(), key[:2], key+".entry")
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Flip the last digit of the transform report's StaticBefore,
+		// which the JSON report prints: a served entry would show.
+		loc := regexp.MustCompile(`"StaticBefore":[0-9]+`).FindIndex(b)
+		if loc == nil {
+			t.Fatalf("build entry holds no StaticBefore to flip:\n%s", b)
+		}
+		d := loc[1] - 1
+		b[d] = '0' + (b[d]-'0'+1)%10
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		rs, rep := run()
+		if rep.CacheMisses != 1 || rep.CacheHits != coldRep.Units-1 {
+			t.Errorf("damaged build entry: %d hits, %d misses, want %d and 1 (only the build recomputed)",
+				rep.CacheHits, rep.CacheMisses, coldRep.Units-1)
+		}
+		if n, hits := builds(rep); n != 1 || hits != 0 {
+			t.Errorf("damaged build entry served: %d of %d build units hit", hits, n)
+		}
+		if !bytes.Equal(coldBytes, reportBytes(t, rs)) {
+			t.Error("report after recomputing the damaged build entry differs from the cold one")
+		}
+		if _, ok := cache.Get(key); !ok {
+			t.Error("recompute did not repair the damaged build entry")
+		}
+	})
 }
 
 // TestAnonymousPredictorBypassesCache: a NewPredictor closure without a
-// PredictorName cannot be hashed into a key, so those runs must never be
-// served from (or stored in) the cache.
+// PredictorName cannot be hashed into a key, so those runs — builds and
+// simulations alike — must never be served from (or stored in) the cache.
 func TestAnonymousPredictorBypassesCache(t *testing.T) {
 	c, _ := workload.ByName("libquantum")
 	o := fastOptions()
@@ -172,9 +225,15 @@ func TestAnonymousPredictorBypassesCache(t *testing.T) {
 	if key := newBenchJob(c, o).simKey(in, 4, "base"); key != "" {
 		t.Errorf("anonymous predictor produced cache key %q", key)
 	}
+	if key := newBenchJob(c, o).buildKey(); key != "" {
+		t.Errorf("anonymous predictor produced build key %q", key)
+	}
 	o.PredictorName = "default"
 	if key := newBenchJob(c, o).simKey(in, 4, "base"); key == "" {
 		t.Error("named predictor must produce a cache key")
+	}
+	if key := newBenchJob(c, o).buildKey(); key == "" {
+		t.Error("named predictor must produce a build key")
 	}
 	// Distinct predictors must never alias.
 	o.PredictorName = "gshare-64k"

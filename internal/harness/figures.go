@@ -215,26 +215,15 @@ type ICacheStudy struct {
 }
 
 // RunICacheStudy executes the study over a suite: both configurations of
-// every benchmark run as one engine job set. The study measures REF input
-// 0 only (the first of base.RefInputs), so that is the only input it
-// simulates.
+// every benchmark run as one engine job set. The study reads the baseline
+// binary on REF input 0 (the first of base.RefInputs) at width 4 only, so
+// that is all it simulates.
 func RunICacheStudy(suite string, base Options) ([]ICacheStudy, error) {
 	if len(base.RefInputs) == 0 {
 		return nil, fmt.Errorf("icache study %s: no REF inputs", suite)
 	}
-	base.RefInputs = base.RefInputs[:1]
-	small := base
-	small.ICacheBytes = 24 << 10
-	small.Widths = []int{4}
-	big := base
-	big.Widths = []int{4}
-
 	cs := workload.Suite(suite)
-	var jobs []*benchJob
-	for _, c := range cs {
-		jobs = append(jobs, newBenchJob(c, big), newBenchJob(c, small))
-	}
-	rs, err := runBenchJobs(jobs, base)
+	rs, err := runBenchJobs(icacheJobs(cs, base), base)
 	if err != nil {
 		return nil, err
 	}
@@ -251,6 +240,26 @@ func RunICacheStudy(suite string, base Options) ([]ICacheStudy, error) {
 		out = append(out, ICacheStudy{Benchmark: c.Name, SlowdownPct: slow, MissUnderMispred: frac})
 	}
 	return out, nil
+}
+
+// icacheJobs enumerates the study's jobs: per benchmark, the 32 KB then
+// the 24 KB configuration, each simulating the baseline binary on REF
+// input 0 at width 4. Their build options are base's, so they share the
+// build units of a suite run under base.
+func icacheJobs(cs []workload.Config, base Options) []*benchJob {
+	base.RefInputs = base.RefInputs[:1]
+	base.Widths = []int{4}
+	small := base
+	small.ICacheBytes = 24 << 10
+	var jobs []*benchJob
+	for _, c := range cs {
+		for _, o := range []Options{base, small} {
+			j := newBenchJob(c, o)
+			j.binaries = []string{"base"}
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
 }
 
 // WriteICacheStudy renders the Section 6.1 results.
